@@ -354,14 +354,10 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // With --store the cache is warm-started from the persistent log
     // before the run and newly solved schedules flow back into it;
     // results are byte-identical either way (docs/PERSISTENCE.md).
-    let outcome = match opts.get("store") {
-        None => drift_serve::serve_traced(jobs, &config, metrics.recorder.clone(), tracer.clone()),
+    let cache = config.new_cache(metrics.recorder.clone());
+    let store = match opts.get("store") {
+        None => None,
         Some(store) => {
-            let cache = drift_serve::ScheduleCache::with_recorder(
-                config.cache_capacity.max(1),
-                config.cache_shards.max(1),
-                metrics.recorder.clone(),
-            );
             let (report, binding) = drift_serve::open_and_preload(
                 std::path::Path::new(store),
                 &cache,
@@ -377,20 +373,22 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
                     String::new()
                 }
             );
-            let outcome = drift_serve::serve_on_cache(
-                jobs,
-                &config,
-                metrics.recorder.clone(),
-                tracer.clone(),
-                &cache,
-            );
-            let records = binding
-                .finish(&cache)
-                .map_err(|e| format!("cannot flush store {store}: {e}"))?;
-            eprintln!("store: {records} record(s) now in {store}");
-            outcome
+            Some((store, binding))
         }
     };
+    let outcome = drift_serve::serve_on_cache(
+        jobs,
+        &config,
+        metrics.recorder.clone(),
+        tracer.clone(),
+        &cache,
+    );
+    if let Some((store, binding)) = store {
+        let records = binding
+            .finish(&cache)
+            .map_err(|e| format!("cannot flush store {store}: {e}"))?;
+        eprintln!("store: {records} record(s) now in {store}");
+    }
     tracer.close();
 
     // Results as JSONL on stdout; the report goes to stderr so the
@@ -453,21 +451,13 @@ pub fn gateway(opts: &Opts) -> Result<(), String> {
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "gateway", &metrics.recorder)?;
 
-    let gw = match opts.get("store") {
-        None => drift_gateway::Gateway::start_traced(
-            addr,
-            config,
-            metrics.recorder.clone(),
-            tracer.clone(),
-        ),
-        Some(store) => drift_gateway::Gateway::start_persistent(
-            addr,
-            config,
-            metrics.recorder.clone(),
-            tracer.clone(),
-            std::path::Path::new(store),
-        ),
-    }
+    let gw = drift_gateway::Gateway::start(
+        addr,
+        config,
+        metrics.recorder.clone(),
+        tracer.clone(),
+        opts.get("store").map(std::path::Path::new),
+    )
     .map_err(|e| format!("cannot bind gateway on {addr}: {e}"))?;
     if let Some(store) = opts.get("store") {
         eprintln!("store: schedule cache backed by {store} (docs/PERSISTENCE.md)");
@@ -575,7 +565,7 @@ pub fn router(opts: &Opts) -> Result<(), String> {
     let metrics = metrics_wiring(opts)?;
     let tracer = trace_wiring(opts, "router", &metrics.recorder)?;
 
-    let router = drift_router::Router::start_traced(
+    let router = drift_router::Router::start(
         addr,
         &shards,
         config,

@@ -8,7 +8,7 @@
 
 use drift_gateway::framing::{LineEvent, LineReader};
 use drift_gateway::protocol::request_line;
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_router::{Router, RouterConfig};
 use drift_serve::job::{JobKind, JobSpec};
 use serde_json::Value;
@@ -161,8 +161,14 @@ fn killing_a_backend_mid_run_loses_and_duplicates_nothing() {
         ..RouterConfig::default()
     };
     let shards: Vec<String> = shard_addrs.iter().map(SocketAddr::to_string).collect();
-    let router =
-        Router::start("127.0.0.1:0", &shards, config, recorder.clone()).expect("router starts");
+    let router = Router::start(
+        "127.0.0.1:0",
+        &shards,
+        config,
+        recorder.clone(),
+        Tracer::disabled(),
+    )
+    .expect("router starts");
 
     let stream = TcpStream::connect(router.local_addr()).expect("connect to router");
     stream.set_nodelay(true).expect("nodelay");

@@ -16,8 +16,8 @@
 use std::io::{self, Read};
 use std::net::TcpStream;
 
-/// Longest request line a [`LineReader`] will buffer before reporting
-/// the connection as failed.
+/// Longest line (newline excluded) a [`LineReader`] yields; a longer
+/// one reports the connection as failed.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// What one [`LineReader::next_line`] call produced.
@@ -58,6 +58,10 @@ pub enum LineEventRef<'a> {
 pub struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched without finding a
+    /// newline, so a line arriving over many reads is scanned once,
+    /// not once per read.
+    scanned: usize,
     /// Scratch the current line is decoded into — reused across lines
     /// so steady-state reads allocate nothing.
     line: String,
@@ -70,6 +74,7 @@ impl LineReader {
         LineReader {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             line: String::new(),
         }
     }
@@ -80,7 +85,11 @@ impl LineReader {
     /// per-line allocation.
     pub fn next_line_ref(&mut self) -> LineEventRef<'_> {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            if let Some(found) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let pos = self.scanned + found;
+                if pos > MAX_LINE_BYTES {
+                    return LineEventRef::Failed;
+                }
                 let mut end = pos;
                 if end > 0 && self.buf[end - 1] == b'\r' {
                     end -= 1;
@@ -90,8 +99,10 @@ impl LineReader {
                     .push_str(&String::from_utf8_lossy(&self.buf[..end]));
                 // A memmove of the tail, not a fresh allocation.
                 self.buf.drain(..=pos);
+                self.scanned = 0;
                 return LineEventRef::Line(&self.line);
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > MAX_LINE_BYTES {
                 return LineEventRef::Failed;
             }
@@ -120,5 +131,84 @@ impl LineReader {
             LineEventRef::Eof => LineEvent::Eof,
             LineEventRef::Failed => LineEvent::Failed,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    /// Sends `line` plus a newline over loopback in small writes and
+    /// returns the length of the line the reader yields, or how it
+    /// failed.
+    fn read_one(line: Vec<u8>) -> Result<usize, &'static str> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut bytes = line;
+            bytes.push(b'\n');
+            for chunk in bytes.chunks(997) {
+                // The reader may fail the connection early; stop quietly.
+                if stream.write_all(chunk).is_err() {
+                    return;
+                }
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut reader = LineReader::new(stream);
+        let event = loop {
+            match reader.next_line_ref() {
+                LineEventRef::TimedOut => continue,
+                LineEventRef::Line(l) => {
+                    assert!(l.bytes().all(|b| b == b'x'), "line content changed");
+                    break Ok(l.len());
+                }
+                LineEventRef::Eof => break Err("eof"),
+                LineEventRef::Failed => break Err("failed"),
+            }
+        };
+        drop(reader);
+        sender.join().unwrap();
+        event
+    }
+
+    #[test]
+    fn longest_line_arrives_intact_and_one_byte_more_fails() {
+        assert_eq!(
+            read_one(vec![b'x'; MAX_LINE_BYTES]),
+            Ok(MAX_LINE_BYTES),
+            "the longest allowed line must come back whole"
+        );
+        assert_eq!(read_one(vec![b'x'; MAX_LINE_BYTES + 1]), Err("failed"));
+    }
+
+    #[test]
+    fn pipelined_lines_split_across_reads_stay_framed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let text: String = (0..200).map(|i| format!("line-{i}\r\n")).collect();
+            for chunk in text.as_bytes().chunks(7) {
+                stream.write_all(chunk).unwrap();
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = LineReader::new(stream);
+        for i in 0..200 {
+            match reader.next_line() {
+                LineEvent::Line(line) => assert_eq!(line, format!("line-{i}")),
+                other => panic!("line {i}: {other:?}"),
+            }
+        }
+        assert!(matches!(reader.next_line(), LineEvent::Eof));
+        sender.join().unwrap();
     }
 }

@@ -22,6 +22,10 @@
 //! * **graceful drain** — shutdown stops the acceptor, lets every
 //!   admitted job finish and flush, then joins the pool; accepted work
 //!   is never dropped;
+//! * a **connection loop** ([`conn`]) — the acceptor, per-connection
+//!   reader (line framing, idle timeout) and writer (write timeout,
+//!   discard mode) threads and the drain join, shared with the router
+//!   tier, which plugs in its own line handling;
 //! * a **client library** ([`client`]) and a **closed-loop load
 //!   generator** ([`loadgen`]) exposed as `drift loadgen`, reporting
 //!   throughput and p50/p99 end-to-end latency.
@@ -44,6 +48,8 @@
 //!     "127.0.0.1:0",
 //!     GatewayConfig::with_workers(2),
 //!     drift_obs::Recorder::disabled(),
+//!     drift_obs::Tracer::disabled(),
+//!     None, // no persistent schedule store
 //! )
 //! .unwrap();
 //! let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
@@ -65,6 +71,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod client;
+pub mod conn;
 pub mod framing;
 pub mod loadgen;
 pub mod protocol;

@@ -3,23 +3,31 @@
 //!
 //! ```text
 //!            acceptor thread (non-blocking listener)
-//!                 │ spawns one reader per connection
-//!   reader ──try_submit──▶ bounded JobQueue ──▶ worker pool (one
-//!     │  shed: {"error":"overloaded"}            DriftAccelerator each,
-//!     │                                          shared schedule cache)
-//!     └─▶ writer thread ◀──reply channel──────────┘
+//!                 │ spawns one reader per connection   (crate::conn)
+//!   reader ──try_submit_batch──▶ bounded JobQueue ──▶ worker pool (one
+//!     │  shed: {"error":"overloaded"}   of key groups   DriftAccelerator
+//!     │                                                 each, shared
+//!     └─▶ writer thread ◀──reply channel─────────────── schedule cache)
 //! ```
+//!
+//! Every request takes one path. A request — a singleton line or a
+//! batch line — is split into groups of items sharing a schedule key,
+//! and each group occupies one queue slot and runs on one worker
+//! through `drift_serve::worker::execute_group`, so its key is solved
+//! or fetched once. A singleton is a batch of one; it differs only in
+//! rendering its one item line instead of a batch response line.
 //!
 //! Three properties the batch runtime does not need become load-bearing
 //! here and are owned by this module:
 //!
 //! * **admission control** — submission uses the queue's non-blocking
-//!   [`JobQueue::try_submit`]; a full queue sheds the request with a
-//!   structured `overloaded` response instead of blocking the socket,
-//!   and a deadline budget below the observed service-time estimate is
-//!   shed as `deadline_unmeetable` before it can occupy a slot;
+//!   [`JobQueue::try_submit_batch`]: either every group of a request is
+//!   admitted or the request is shed with a structured `overloaded`
+//!   response instead of blocking the socket, and a deadline budget
+//!   below the observed service-time estimate is shed as
+//!   `deadline_unmeetable` before it can occupy a slot;
 //! * **deadlines** — each request carries a millisecond budget from
-//!   admission; workers check it when they dequeue the job *and* again
+//!   admission; workers check it when they dequeue a group *and* again
 //!   after executing it, answering `deadline_exceeded` for expired
 //!   work. With `--queue edf` the queue drains
 //!   earliest-deadline-first instead of FIFO (`docs/SCHEDULING.md`);
@@ -28,15 +36,14 @@
 //!   through its connection writer, and only then closes the queue and
 //!   joins the workers. No accepted job is lost.
 //!
-//! Stalled clients cannot pin threads: reads tick on a short timeout
-//! (so readers notice shutdown and idle expiry), and writes time out
-//! and degrade to discarding responses for that connection only.
+//! The acceptor, readers and writers are the shared [`crate::conn`]
+//! loop, which the router reuses: stalled clients cannot pin threads.
 
-use crate::framing::{LineEventRef, LineReader};
+use crate::conn::{Acceptor, LineService, Reply};
 use crate::protocol::{
     self, ControlOp, Request, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED, ERR_UNMEETABLE,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use drift_core::accelerator::DriftAccelerator;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::ScheduleKey;
@@ -45,28 +52,23 @@ use drift_serve::cache::ScheduleCache;
 use drift_serve::job::{result_line, JobOutcome, JobResult, JobSpec};
 use drift_serve::persist::{open_and_preload, StoreBinding};
 use drift_serve::queue::{job_queue_with_policy, Deadlined, JobQueue, QueuePolicy, WorkerHandle};
-use drift_serve::worker::{execute_group, execute_job_traced, schedule_key_for};
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use drift_serve::worker::{execute_group, schedule_key_for, ItemSpans};
+use std::io;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads wake up to check shutdown and idle expiry.
-const READ_TICK: Duration = Duration::from_millis(100);
-/// A connection writer gives a slow client this long per response
-/// before treating the connection as stalled and discarding the rest.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Tunables for one gateway instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayConfig {
     /// Worker threads executing jobs (at least 1).
     pub workers: usize,
-    /// Maximum admitted jobs waiting in the queue; beyond this,
-    /// requests are shed with `overloaded`.
+    /// Maximum admitted schedule-key groups waiting in the queue (a
+    /// singleton is one group); beyond this, requests are shed with
+    /// `overloaded`.
     pub queue_depth: usize,
     /// Total schedules the shared cache may hold.
     pub cache_capacity: usize,
@@ -214,96 +216,77 @@ struct JobTrace {
     req_span: u64,
 }
 
-/// One queued response line plus the trace info the connection writer
-/// needs to record a `response_write` span (`None` for control acks
-/// and untraced requests).
-#[derive(Debug, Clone)]
-struct Reply {
-    line: String,
-    trace: Option<(TraceId, u64)>,
-}
-
-impl Reply {
-    fn plain(line: String) -> Reply {
-        Reply { line, trace: None }
-    }
-}
-
-/// One admitted request travelling from a connection reader to a
-/// worker and back (as a rendered response line) to the writer.
-#[derive(Debug, Clone)]
-struct GatewayJob {
-    spec: JobSpec,
-    deadline: Option<Instant>,
-    admitted: Instant,
-    trace: Option<JobTrace>,
-    reply: Sender<Reply>,
-}
-
-impl GatewayJob {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// True when the job cannot be answered in budget: already expired,
-    /// or the remaining slack is smaller than the estimated service
-    /// time (`estimate_us`, 0 = no estimate). Executing such a job can
-    /// only produce a late result, so the worker discards it instead —
-    /// without this predictive check EDF degrades under overload,
-    /// because the earliest-deadline job is by construction the one
-    /// most likely to expire mid-execution (docs/SCHEDULING.md).
-    fn doomed(&self, now: Instant, estimate_us: u64) -> bool {
-        self.deadline.is_some_and(|d| {
-            d.saturating_duration_since(now).as_micros() <= u128::from(estimate_us)
-        })
-    }
-}
-
-impl Deadlined for GatewayJob {
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-}
-
-/// State shared by every schedule-key group of one batch request: the
-/// response slots (indexed by submission position, so assembly order is
-/// the client's order no matter which worker finishes first) and the
-/// countdown that tells the last group to assemble and send the single
-/// batch response line.
+/// The client-visible state of one admitted request — a singleton or a
+/// batch — shared by its schedule-key groups: the response slots
+/// (indexed by submission position, so assembly order is the client's
+/// order no matter which worker finishes first) and the countdown that
+/// tells the last group to assemble and send the single response line.
 #[derive(Debug)]
 struct BatchShared {
+    /// The client's id for the whole line: the job id of a singleton,
+    /// the batch id of a batch.
     id: u64,
+    /// A singleton answers with its one item line, not a batch line.
+    single: bool,
     total: usize,
     slots: Mutex<Vec<Option<String>>>,
     remaining: AtomicUsize,
     reply: Sender<Reply>,
     trace: Option<JobTrace>,
     admitted: Instant,
+    /// One absolute deadline shared by every item: the budget is never
+    /// decremented per item.
+    deadline: Option<Instant>,
 }
 
 impl BatchShared {
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
+
+    /// True when the request cannot be answered in budget: already
+    /// expired, or the remaining slack is smaller than the estimated
+    /// per-job service time (`estimate_us`, 0 = no estimate). Executing
+    /// it can only produce a late result, so the worker discards it
+    /// instead — without this predictive check EDF degrades under
+    /// overload, because the earliest-deadline job is by construction
+    /// the one most likely to expire mid-execution
+    /// (docs/SCHEDULING.md).
+    fn doomed(&self, now: Instant, estimate_us: u64) -> bool {
+        self.deadline.is_some_and(|d| {
+            d.saturating_duration_since(now).as_micros() <= u128::from(estimate_us)
+        })
+    }
+
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot assembles and sends the batch response.
-    fn settle_item(&self, shared: &Shared, pos: usize, line: String) {
+    /// slot assembles and sends the response. `outcome` labels a
+    /// singleton's request span (a batch's always reads `ok`).
+    fn settle_item(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
         {
             let mut slots = self.slots.lock().expect("batch slots");
             debug_assert!(slots[pos].is_none(), "batch slot settled twice");
             slots[pos] = Some(line);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared);
+            self.finish(shared, if self.single { outcome } else { "ok" });
         }
     }
 
-    fn finish(&self, shared: &Shared) {
-        let items: Vec<String> = {
+    /// Sends the response and settles the request's accounting
+    /// (in-flight gauge, end-to-end latency, the request trace span).
+    fn finish(&self, shared: &Shared, outcome: &str) {
+        let mut items: Vec<String> = {
             let mut slots = self.slots.lock().expect("batch slots");
             slots
                 .iter_mut()
                 .map(|slot| slot.take().expect("all batch slots settled"))
                 .collect()
         };
-        let line = protocol::batch_response_line(self.id, &items);
+        let line = if self.single {
+            items.pop().expect("a singleton has one item")
+        } else {
+            protocol::batch_response_line(self.id, &items)
+        };
         shared
             .recorder
             .gauge_add("drift_gateway_inflight_requests", &[], -(self.total as i64));
@@ -319,69 +302,35 @@ impl BatchShared {
             );
         }
         if let Some(t) = &self.trace {
-            record_request_span(shared, t, self.id, self.admitted, "ok");
+            record_request_span(shared, t, self.id, self.admitted, outcome);
         }
         let reply = Reply {
             line,
             trace: self.trace.as_ref().map(|t| (t.trace, t.req_span)),
         };
         if self.reply.send(reply).is_err() {
-            shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_gateway_responses_dropped_total", &[], 1);
+            // The connection is fully gone (reader and writer exited).
+            shared.count_dropped();
         }
     }
 }
 
-/// The items of one batch that share a schedule key, executed together
-/// on one worker so the key is solved/fetched exactly once
-/// (`drift_serve::worker::execute_group`). `key == None` collects the
-/// Select items, which carry no schedule key and execute per-item.
+/// The items of one request that share a schedule key: one queue slot,
+/// executed together on one worker so the key is solved/fetched
+/// exactly once (`drift_serve::worker::execute_group`). `key == None`
+/// collects the Select items, which carry no schedule key.
 #[derive(Debug)]
 struct GroupJob {
     key: Option<ScheduleKey>,
-    /// Submission positions within the batch, parallel to `specs`.
+    /// Submission positions within the request, parallel to `specs`.
     positions: Vec<usize>,
     specs: Vec<JobSpec>,
-    /// The batch-wide deadline: the budget is shared by every item, so
-    /// each group carries the same absolute instant.
-    deadline: Option<Instant>,
-    admitted: Instant,
     batch: Arc<BatchShared>,
 }
 
-impl GroupJob {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// Same predictive check as [`GatewayJob::doomed`], using the
-    /// single-job estimate as a conservative lower bound on the group's
-    /// service time.
-    fn doomed(&self, now: Instant, estimate_us: u64) -> bool {
-        self.deadline.is_some_and(|d| {
-            d.saturating_duration_since(now).as_micros() <= u128::from(estimate_us)
-        })
-    }
-}
-
-/// What travels through the gateway queue: a singleton request, or one
-/// schedule-key group of a batch request. A batch occupies one queue
-/// slot per *distinct schedule key*, which is what lets admission stay
-/// a single capacity check while same-key floods collapse.
-#[derive(Debug)]
-enum QueueItem {
-    Single(GatewayJob),
-    Group(GroupJob),
-}
-
-impl Deadlined for QueueItem {
+impl Deadlined for GroupJob {
     fn deadline(&self) -> Option<Instant> {
-        match self {
-            QueueItem::Single(job) => job.deadline,
-            QueueItem::Group(group) => group.deadline,
-        }
+        self.batch.deadline
     }
 }
 
@@ -405,8 +354,238 @@ struct Shared {
 }
 
 impl Shared {
+    fn count_dropped(&self) {
+        self.tally.dropped.fetch_add(1, Ordering::Relaxed);
+        self.recorder
+            .counter_add("drift_gateway_responses_dropped_total", &[], 1);
+    }
+}
+
+/// The gateway's side of the shared connection loop: request lines in,
+/// admitted groups onto the queue. Every reader holds it, and with it
+/// the queue's submit side, so the queue closes once the last reader
+/// is gone.
+#[derive(Debug)]
+struct Admission {
+    shared: Arc<Shared>,
+    queue: JobQueue<GroupJob>,
+}
+
+impl LineService for Admission {
     fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || self.drain.load(Ordering::Relaxed)
+        self.shared.stop.load(Ordering::Relaxed) || self.shared.drain.load(Ordering::Relaxed)
+    }
+
+    fn idle_timeout_ms(&self) -> u64 {
+        self.shared.config.idle_timeout_ms
+    }
+
+    fn tracer(&self) -> &Tracer {
+        &self.shared.tracer
+    }
+
+    fn connection(&self, opened: bool) {
+        if opened {
+            self.shared
+                .tally
+                .connections
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        self.shared.recorder.gauge_add(
+            "drift_gateway_connections",
+            &[],
+            if opened { 1 } else { -1 },
+        );
+    }
+
+    fn handle_line(&self, line: &str, reply: &Sender<Reply>) -> bool {
+        let shared = &*self.shared;
+        match protocol::parse_request(line) {
+            Err(_) => {
+                // Lenient by design: a malformed request is answered and
+                // counted, never a reason to abort the stream.
+                shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .recorder
+                    .counter_add("drift_serve_jobs_rejected_total", &[], 1);
+                let _ = reply.send(Reply::plain(protocol::error_line(None, ERR_BAD_REQUEST)));
+            }
+            Ok(Request::Control(ControlOp::Ping)) => {
+                // The ack advertises the queue discipline so router health
+                // probes learn each shard's policy (docs/SCHEDULING.md).
+                let _ = reply.send(Reply::plain(protocol::ping_ack_line(
+                    true,
+                    shared.config.queue.as_str(),
+                )));
+            }
+            Ok(Request::Control(ControlOp::Shutdown)) => {
+                let _ = reply.send(Reply::plain(protocol::control_ack_line(
+                    ControlOp::Shutdown,
+                    true,
+                )));
+                shared.drain.store(true, Ordering::SeqCst);
+                return false;
+            }
+            Ok(Request::Prewarm(entries)) => {
+                // Reshard prewarming: the router pushes schedules whose
+                // keys now hash here (docs/PERSISTENCE.md). Preloaded
+                // entries bypass hit/miss accounting and the store spill —
+                // they are transplants, not solves.
+                let inserted = shared.cache.preload(&entries);
+                shared.recorder.counter_add(
+                    "drift_gateway_prewarm_entries_total",
+                    &[],
+                    inserted as u64,
+                );
+                let _ = reply.send(Reply::plain(protocol::prewarm_ack_line(
+                    true,
+                    inserted as u64,
+                )));
+            }
+            Ok(Request::Job {
+                spec,
+                deadline_ms,
+                trace,
+            }) => self.admit(spec.id, vec![spec], true, deadline_ms, trace, reply),
+            Ok(Request::Batch {
+                id,
+                specs,
+                deadline_ms,
+                trace,
+            }) => self.admit(id, specs, false, deadline_ms, trace, reply),
+        }
+        true
+    }
+
+    fn response_dropped(&self) {
+        self.shared.count_dropped();
+    }
+}
+
+impl Admission {
+    /// Admits one request — `single` for a singleton line — as a unit:
+    /// one sampling decision and request span, one shared deadline, and
+    /// all-or-shed submission of its schedule-key groups.
+    fn admit(
+        &self,
+        id: u64,
+        specs: Vec<JobSpec>,
+        single: bool,
+        deadline_ms: Option<u64>,
+        trace: TraceDecision,
+        reply: &Sender<Reply>,
+    ) {
+        let shared = &*self.shared;
+        let admitted = Instant::now();
+        let total = specs.len();
+        // Resolve head sampling: honor an upstream decision; when the
+        // request carries none, this gateway is the ingress edge and
+        // decides from its arrival sequence.
+        let decision = match trace {
+            TraceDecision::Undecided if shared.tracer.is_enabled() => shared
+                .tracer
+                .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
+            other => other,
+        };
+        let trace = match (decision.context(), shared.tracer.is_enabled()) {
+            (Some(ctx), true) => Some(JobTrace {
+                trace: ctx.trace_id,
+                parent: ctx.parent_span,
+                req_span: shared.tracer.new_span_id(),
+            }),
+            _ => None,
+        };
+        let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
+        let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
+        // Infeasibility shed: once at least one job has completed, a
+        // budget below the observed per-job service-time estimate cannot
+        // be met even from an empty queue — refuse the whole request
+        // immediately instead of letting it occupy slots and expire.
+        let estimate_us = shared.estimator.estimate_us();
+        if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
+            shared
+                .tally
+                .unmeetable
+                .fetch_add(total as u64, Ordering::Relaxed);
+            shared.recorder.counter_add(
+                "drift_gateway_deadline_outcomes_total",
+                &[("outcome", "unmeetable")],
+                total as u64,
+            );
+            if let Some(t) = &trace {
+                record_request_span(shared, t, id, admitted, "unmeetable");
+            }
+            let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
+            return;
+        }
+        let batch = Arc::new(BatchShared {
+            id,
+            single,
+            total,
+            slots: Mutex::new(vec![None; total]),
+            remaining: AtomicUsize::new(total),
+            reply: reply.clone(),
+            trace,
+            admitted,
+            deadline,
+        });
+        // Group by schedule key, preserving submission order within
+        // each group. Linear scan: batches carry at most a few distinct
+        // keys by construction (that is the amortization).
+        let fabric = paper_fabric();
+        let mut groups: Vec<GroupJob> = Vec::new();
+        for (pos, spec) in specs.into_iter().enumerate() {
+            let key = schedule_key_for(&spec, fabric);
+            match groups.iter_mut().find(|g| g.key == key) {
+                Some(group) => {
+                    group.positions.push(pos);
+                    group.specs.push(spec);
+                }
+                None => groups.push(GroupJob {
+                    key,
+                    positions: vec![pos],
+                    specs: vec![spec],
+                    batch: Arc::clone(&batch),
+                }),
+            }
+        }
+        match self.queue.try_submit_batch(groups) {
+            Ok(()) => {
+                shared
+                    .tally
+                    .accepted
+                    .fetch_add(total as u64, Ordering::Relaxed);
+                shared.recorder.counter_add(
+                    "drift_gateway_requests_accepted_total",
+                    &[],
+                    total as u64,
+                );
+                shared
+                    .recorder
+                    .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
+                if !single && shared.recorder.is_enabled() {
+                    shared.recorder.observe(
+                        "drift_gateway_batch_size",
+                        &[],
+                        drift_obs::contract::BATCH_SIZE_BUCKETS,
+                        total as u64,
+                    );
+                }
+            }
+            Err(_groups) => {
+                // All-or-shed: no group was enqueued, so dropping the
+                // groups (and the request state inside) is safe —
+                // nothing will ever settle a slot.
+                shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
+                shared
+                    .recorder
+                    .counter_add("drift_gateway_requests_shed_total", &[], total as u64);
+                if let Some(t) = &batch.trace {
+                    record_request_span(shared, t, id, admitted, "overloaded");
+                }
+                let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
+            }
+        }
     }
 }
 
@@ -418,13 +597,10 @@ impl Shared {
 pub struct Gateway {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// The submit side of the queue. Connection readers hold clones of
-    /// this `Arc`; after they are joined, dropping the slot here drops
-    /// the final strong reference, which closes the queue and lets the
+    /// The acceptor and connection threads. They alone hold the queue's
+    /// submit side, so joining them closes the queue and lets the
     /// workers drain out.
-    queue: Option<Arc<JobQueue<QueueItem>>>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Option<Acceptor>,
     workers: Vec<JoinHandle<()>>,
     /// The persistent schedule store, when started with one. Finished
     /// (flushed, possibly compacted) during shutdown, after the workers
@@ -434,36 +610,19 @@ pub struct Gateway {
 
 impl Gateway {
     /// Binds `addr` (port 0 picks a free port) and starts the acceptor
-    /// and worker threads.
+    /// and worker threads, recording metrics into `recorder` and
+    /// distributed-trace spans into `tracer`. With a disabled tracer
+    /// every response byte is the same.
     ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn start(addr: &str, config: GatewayConfig, recorder: Recorder) -> io::Result<Gateway> {
-        Self::start_traced(addr, config, recorder, Tracer::disabled())
-    }
-
-    /// Like [`Gateway::start`], additionally recording distributed
-    /// trace spans through `tracer`. With a disabled tracer the
-    /// behaviour (and every response byte) is identical to `start`.
-    pub fn start_traced(
-        addr: &str,
-        config: GatewayConfig,
-        recorder: Recorder,
-        tracer: Tracer,
-    ) -> io::Result<Gateway> {
-        Self::start_inner(addr, config, recorder, tracer, None)
-    }
-
-    /// Like [`Gateway::start_traced`], additionally backed by the
-    /// persistent schedule store at `store` (created if absent). The
-    /// store is loaded into the cache *before* the acceptor starts, so
-    /// the very first connection sees the warm cache; newly solved
-    /// schedules are appended in the background and flushed — with a
-    /// compaction when the log has outgrown the live set — during
-    /// shutdown. Warm-started gateways answer byte-identically to cold
-    /// ones: schedule solving is deterministic, so a stored schedule is
-    /// the schedule a cold solve would produce (`docs/PERSISTENCE.md`).
+    /// With `store`, the schedule cache is backed by the persistent
+    /// schedule store at that path (created if absent). The store is
+    /// loaded into the cache *before* the acceptor starts, so the very
+    /// first connection sees the warm cache; newly solved schedules are
+    /// appended in the background and flushed — with a compaction when
+    /// the log has outgrown the live set — during shutdown.
+    /// Warm-started gateways answer byte-identically to cold ones:
+    /// schedule solving is deterministic, so a stored schedule is the
+    /// schedule a cold solve would produce (`docs/PERSISTENCE.md`).
     ///
     /// # Errors
     ///
@@ -471,25 +630,14 @@ impl Gateway {
     /// magic, future version, I/O) as `io::Error::other`. A corrupt
     /// record *tail* is not an error: the valid prefix loads and the
     /// damage is counted in `drift_store_records_skipped_total`.
-    pub fn start_persistent(
+    pub fn start(
         addr: &str,
         config: GatewayConfig,
         recorder: Recorder,
         tracer: Tracer,
-        store: &Path,
+        store: Option<&Path>,
     ) -> io::Result<Gateway> {
-        Self::start_inner(addr, config, recorder, tracer, Some(store))
-    }
-
-    fn start_inner(
-        addr: &str,
-        config: GatewayConfig,
-        recorder: Recorder,
-        tracer: Tracer,
-        store_path: Option<&Path>,
-    ) -> io::Result<Gateway> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = Acceptor::bind(addr)?;
         let addr = listener.local_addr()?;
         let config = GatewayConfig {
             workers: config.workers.max(1),
@@ -519,7 +667,7 @@ impl Gateway {
 
         // Warm-start before anything can connect: the first request
         // already sees every schedule the previous run persisted.
-        let store = store_path
+        let store = store
             .map(|path| {
                 open_and_preload(path, &shared.cache, shared.recorder.clone())
                     .map(|(_report, binding)| binding)
@@ -527,8 +675,7 @@ impl Gateway {
             })
             .transpose()?;
 
-        let (queue, handle) = job_queue_with_policy::<QueueItem>(config.queue, config.queue_depth);
-        let queue = Arc::new(queue);
+        let (queue, handle) = job_queue_with_policy::<GroupJob>(config.queue, config.queue_depth);
         let workers = (0..config.workers)
             .map(|i| {
                 let handle = handle.clone();
@@ -540,22 +687,16 @@ impl Gateway {
             .collect::<io::Result<Vec<_>>>()?;
         drop(handle);
 
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&queue);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("gateway-acceptor".to_string())
-                .spawn(move || acceptor_loop(&listener, &shared, &queue, &conns))?
-        };
+        let admission = Arc::new(Admission {
+            shared: Arc::clone(&shared),
+            queue,
+        });
+        let acceptor = Acceptor::spawn(listener, admission, "gateway")?;
 
         Ok(Gateway {
             addr,
             shared,
-            queue: Some(queue),
             acceptor: Some(acceptor),
-            conns,
             workers,
             store,
         })
@@ -587,20 +728,15 @@ impl Gateway {
 
     fn shutdown_in_place(&mut self) -> GatewaySummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        // Readers notice the stop flag at their next read tick and exit;
+        // each joins its writer, which flushes the responses of every
+        // job that connection had in flight (workers are still running
+        // here, so those jobs finish). With the last reader gone the
+        // queue is closed: workers drain whatever is still buffered and
+        // exit.
+        if let Some(mut acceptor) = self.acceptor.take() {
+            acceptor.join();
         }
-        // Readers notice the stop flag at their next read tick and
-        // exit; each joins its writer, which flushes the responses of
-        // every job that connection had in flight (workers are still
-        // running here, so those jobs finish).
-        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
-        for conn in conns {
-            let _ = conn.join();
-        }
-        // All submitters are gone: dropping the last queue handle
-        // closes it, workers drain whatever is still buffered and exit.
-        self.queue.take();
         for worker in std::mem::take(&mut self.workers) {
             let _ = worker.join();
         }
@@ -625,356 +761,12 @@ impl Drop for Gateway {
     }
 }
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    queue: &Arc<JobQueue<QueueItem>>,
-    conns: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    while !shared.should_stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let queue = Arc::clone(queue);
-                let handle = std::thread::Builder::new()
-                    .name("gateway-conn".to_string())
-                    .spawn(move || connection(stream, &shared, &queue));
-                if let Ok(handle) = handle {
-                    let mut conns = conns.lock().expect("connection registry");
-                    // Reap finished connections so a long-lived gateway
-                    // does not accumulate dead handles.
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(READ_TICK),
-            Err(_) => std::thread::sleep(READ_TICK),
-        }
-    }
-}
-
-/// One connection's reader: parses request lines, admits jobs, and
-/// owns the paired writer thread's lifetime.
-fn connection(stream: TcpStream, shared: &Arc<Shared>, queue: &JobQueue<QueueItem>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.tally.connections.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_gateway_connections", &[], 1);
-
-    let (reply_tx, reply_rx) = unbounded::<Reply>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("gateway-writer".to_string())
-            .spawn(move || writer_loop(write_half, &reply_rx, &shared))
-    };
-
-    let mut lines = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    let idle = shared.config.idle_timeout_ms;
-    while !shared.should_stop() {
-        // The borrowed variant keeps each request line in the reader's
-        // reused scratch buffer: no per-line allocation even when batch
-        // lines carry hundreds of jobs.
-        match lines.next_line_ref() {
-            LineEventRef::Line(line) => {
-                last_activity = Instant::now();
-                if !handle_line(line, shared, queue, &reply_tx) {
-                    break;
-                }
-            }
-            LineEventRef::TimedOut => {
-                if idle > 0 && last_activity.elapsed() >= Duration::from_millis(idle) {
-                    break;
-                }
-            }
-            LineEventRef::Eof | LineEventRef::Failed => break,
-        }
-    }
-    // Dropping our sender lets the writer exit once every in-flight
-    // job's clone is gone — i.e. after all accepted work is answered.
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-    shared
-        .recorder
-        .gauge_add("drift_gateway_connections", &[], -1);
-}
-
-/// Handles one request line. Returns `false` when the connection
-/// should stop reading (a shutdown control).
-fn handle_line(
-    line: &str,
-    shared: &Shared,
-    queue: &JobQueue<QueueItem>,
-    reply: &Sender<Reply>,
-) -> bool {
-    if line.trim().is_empty() {
-        return true;
-    }
-    match protocol::parse_request(line) {
-        Err(_) => {
-            // Lenient by design: a malformed request is answered and
-            // counted, never a reason to abort the stream.
-            shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-            shared
-                .recorder
-                .counter_add("drift_serve_jobs_rejected_total", &[], 1);
-            let _ = reply.send(Reply::plain(protocol::error_line(None, ERR_BAD_REQUEST)));
-            true
-        }
-        Ok(Request::Control(ControlOp::Ping)) => {
-            // The ack advertises the queue discipline so router health
-            // probes learn each shard's policy (docs/SCHEDULING.md).
-            let _ = reply.send(Reply::plain(protocol::ping_ack_line(
-                true,
-                shared.config.queue.as_str(),
-            )));
-            true
-        }
-        Ok(Request::Control(ControlOp::Shutdown)) => {
-            let _ = reply.send(Reply::plain(protocol::control_ack_line(
-                ControlOp::Shutdown,
-                true,
-            )));
-            shared.drain.store(true, Ordering::SeqCst);
-            false
-        }
-        Ok(Request::Prewarm(entries)) => {
-            // Reshard prewarming: the router pushes schedules whose
-            // keys now hash here (docs/PERSISTENCE.md). Preloaded
-            // entries bypass hit/miss accounting and the store spill —
-            // they are transplants, not solves.
-            let inserted = shared.cache.preload(&entries);
-            shared.recorder.counter_add(
-                "drift_gateway_prewarm_entries_total",
-                &[],
-                inserted as u64,
-            );
-            let _ = reply.send(Reply::plain(protocol::prewarm_ack_line(
-                true,
-                inserted as u64,
-            )));
-            true
-        }
-        Ok(Request::Job {
-            spec,
-            deadline_ms,
-            trace,
-        }) => {
-            let admitted = Instant::now();
-            // Resolve head sampling: honor an upstream decision; when
-            // the request carries none, this gateway is the ingress
-            // edge and decides from its arrival sequence.
-            let decision = match trace {
-                TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-                    .tracer
-                    .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-                other => other,
-            };
-            let job_trace = match (decision.context(), shared.tracer.is_enabled()) {
-                (Some(ctx), true) => Some(JobTrace {
-                    trace: ctx.trace_id,
-                    parent: ctx.parent_span,
-                    req_span: shared.tracer.new_span_id(),
-                }),
-                _ => None,
-            };
-            let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
-            let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
-            let id = spec.id;
-            // Infeasibility shed: once at least one job has completed,
-            // a budget below the observed service-time estimate cannot
-            // be met even from an empty queue — refuse it immediately
-            // instead of letting it occupy a slot and expire later.
-            let estimate_us = shared.estimator.estimate_us();
-            if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
-                shared.tally.unmeetable.fetch_add(1, Ordering::Relaxed);
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "unmeetable")],
-                    1,
-                );
-                if let Some(t) = &job_trace {
-                    record_request_span(shared, t, id, admitted, "unmeetable");
-                }
-                let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
-                return true;
-            }
-            let job = GatewayJob {
-                spec,
-                deadline,
-                admitted,
-                trace: job_trace,
-                reply: reply.clone(),
-            };
-            match queue.try_submit(QueueItem::Single(job)) {
-                Ok(()) => {
-                    shared.tally.accepted.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .recorder
-                        .counter_add("drift_gateway_requests_accepted_total", &[], 1);
-                    shared
-                        .recorder
-                        .gauge_add("drift_gateway_inflight_requests", &[], 1);
-                }
-                Err(item) => {
-                    shared.tally.shed.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .recorder
-                        .counter_add("drift_gateway_requests_shed_total", &[], 1);
-                    if let QueueItem::Single(job) = item {
-                        if let Some(t) = &job.trace {
-                            record_request_span(shared, t, id, admitted, "overloaded");
-                        }
-                    }
-                    let _ =
-                        reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
-                }
-            }
-            true
-        }
-        Ok(Request::Batch {
-            id,
-            specs,
-            deadline_ms,
-            trace,
-        }) => {
-            let admitted = Instant::now();
-            let total = specs.len();
-            // One sampling decision and one request span per batch: the
-            // whole line is one request to the trace tier.
-            let decision = match trace {
-                TraceDecision::Undecided if shared.tracer.is_enabled() => shared
-                    .tracer
-                    .decide(shared.trace_seq.fetch_add(1, Ordering::Relaxed)),
-                other => other,
-            };
-            let batch_trace = match (decision.context(), shared.tracer.is_enabled()) {
-                (Some(ctx), true) => Some(JobTrace {
-                    trace: ctx.trace_id,
-                    parent: ctx.parent_span,
-                    req_span: shared.tracer.new_span_id(),
-                }),
-                _ => None,
-            };
-            // The deadline budget is shared: one absolute instant for
-            // every item, decremented once per hop upstream — never
-            // once per item.
-            let budget = deadline_ms.unwrap_or(shared.config.default_deadline_ms);
-            let deadline = (budget > 0).then(|| admitted + Duration::from_millis(budget));
-            // Whole-batch infeasibility shed, using the single-job
-            // estimate as a lower bound on the batch's service time: if
-            // even one job cannot finish in budget, none of the batch's
-            // items can settle in time.
-            let estimate_us = shared.estimator.estimate_us();
-            if deadline.is_some() && estimate_us > 0 && budget.saturating_mul(1000) < estimate_us {
-                shared
-                    .tally
-                    .unmeetable
-                    .fetch_add(total as u64, Ordering::Relaxed);
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "unmeetable")],
-                    total as u64,
-                );
-                if let Some(t) = &batch_trace {
-                    record_request_span(shared, t, id, admitted, "unmeetable");
-                }
-                let _ = reply.send(Reply::plain(protocol::error_line(Some(id), ERR_UNMEETABLE)));
-                return true;
-            }
-            let batch = Arc::new(BatchShared {
-                id,
-                total,
-                slots: Mutex::new(vec![None; total]),
-                remaining: AtomicUsize::new(total),
-                reply: reply.clone(),
-                trace: batch_trace,
-                admitted,
-            });
-            // Group by schedule key, preserving submission order within
-            // each group. Linear scan: batches carry at most a few
-            // distinct keys by construction (that is the amortization).
-            let fabric = paper_fabric();
-            let mut groups: Vec<GroupJob> = Vec::new();
-            for (pos, spec) in specs.into_iter().enumerate() {
-                let key = schedule_key_for(&spec, fabric);
-                match groups.iter_mut().find(|g| g.key == key) {
-                    Some(group) => {
-                        group.positions.push(pos);
-                        group.specs.push(spec);
-                    }
-                    None => groups.push(GroupJob {
-                        key,
-                        positions: vec![pos],
-                        specs: vec![spec],
-                        deadline,
-                        admitted,
-                        batch: Arc::clone(&batch),
-                    }),
-                }
-            }
-            let items = groups.into_iter().map(QueueItem::Group).collect();
-            match queue.try_submit_batch(items) {
-                Ok(()) => {
-                    shared
-                        .tally
-                        .accepted
-                        .fetch_add(total as u64, Ordering::Relaxed);
-                    shared.recorder.counter_add(
-                        "drift_gateway_requests_accepted_total",
-                        &[],
-                        total as u64,
-                    );
-                    shared
-                        .recorder
-                        .gauge_add("drift_gateway_inflight_requests", &[], total as i64);
-                    if shared.recorder.is_enabled() {
-                        shared.recorder.observe(
-                            "drift_gateway_batch_size",
-                            &[],
-                            drift_obs::contract::BATCH_SIZE_BUCKETS,
-                            total as u64,
-                        );
-                    }
-                }
-                Err(_groups) => {
-                    // All-or-shed: no group was enqueued, so dropping
-                    // the groups (and the batch state inside) is safe —
-                    // nothing will ever settle a slot.
-                    shared.tally.shed.fetch_add(total as u64, Ordering::Relaxed);
-                    shared.recorder.counter_add(
-                        "drift_gateway_requests_shed_total",
-                        &[],
-                        total as u64,
-                    );
-                    if let Some(t) = &batch.trace {
-                        record_request_span(shared, t, id, admitted, "overloaded");
-                    }
-                    let _ =
-                        reply.send(Reply::plain(protocol::error_line(Some(id), ERR_OVERLOADED)));
-                }
-            }
-            true
-        }
-    }
-}
-
-/// Records the gateway-tier root (`request`) span for a job that
+/// Records the gateway-tier root (`request`) span for a request that
 /// settled now, labelled with how it settled.
 fn record_request_span(
     shared: &Shared,
     trace: &JobTrace,
-    job_id: u64,
+    id: u64,
     admitted: Instant,
     outcome: &str,
 ) {
@@ -986,177 +778,65 @@ fn record_request_span(
         stage: "request",
         start: admitted,
         end: Instant::now(),
-        job: Some(job_id),
+        job: Some(id),
         attrs: &[("outcome", outcome)],
     });
 }
 
-/// Writes response lines until every sender is gone. A write failure
-/// (client gone or stalled past [`WRITE_TIMEOUT`]) flips the writer
-/// into discard mode: remaining responses are drained and counted as
-/// dropped so in-flight senders never block on a dead peer.
-fn writer_loop(mut stream: TcpStream, replies: &Receiver<Reply>, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut dead = false;
-    // Response scratch, reused across replies: after warm-up the writer
-    // performs zero allocations per response line (batch responses can
-    // run to hundreds of KiB, so recycling the capacity matters).
-    let mut buf: Vec<u8> = Vec::new();
-    for reply in replies.iter() {
-        if !dead {
-            let write_start = reply.trace.map(|t| (t, Instant::now()));
-            buf.clear();
-            buf.extend_from_slice(reply.line.as_bytes());
-            buf.push(b'\n');
-            dead = stream.write_all(&buf).is_err() || stream.flush().is_err();
-            if let Some(((trace, req_span), start)) = write_start {
-                shared.tracer.record(&SpanRecord {
-                    service: None,
-                    trace,
-                    span: shared.tracer.new_span_id(),
-                    parent: Some(req_span),
-                    stage: "response_write",
-                    start,
-                    end: Instant::now(),
-                    job: None,
-                    attrs: &[("outcome", if dead { "dropped" } else { "ok" })],
-                });
-            }
-            if !dead {
-                continue;
-            }
-        }
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-        shared
-            .recorder
-            .counter_add("drift_gateway_responses_dropped_total", &[], 1);
-    }
-}
-
-/// One worker: pulls admitted work until the queue closes, enforcing
-/// the deadline at dequeue and again at response time.
-fn worker_loop(jobs: WorkerHandle<QueueItem>, shared: &Shared) {
+/// One worker: pulls admitted groups until the queue closes.
+fn worker_loop(jobs: WorkerHandle<GroupJob>, shared: &Shared) {
     let mut accel =
         DriftAccelerator::paper_config().expect("the paper configuration always builds");
     accel.set_recorder(shared.recorder.clone());
-    while let Some(item) = jobs.next_job() {
-        match item {
-            QueueItem::Single(job) => run_single(job, &mut accel, shared),
-            QueueItem::Group(group) => run_group(group, &mut accel, shared),
-        }
+    while let Some(group) = jobs.next_job() {
+        run_group(group, &mut accel, shared);
     }
 }
 
-/// Executes one singleton request end to end.
-fn run_single(job: GatewayJob, accel: &mut DriftAccelerator, shared: &Shared) {
-    {
-        let dequeued = Instant::now();
-        if job.doomed(dequeued, shared.estimator.estimate_us()) {
-            record_queue_wait(shared, &job, dequeued, "expired");
-            respond_expired(shared, &job);
-            return;
-        }
-        record_queue_wait(shared, &job, dequeued, "ok");
-        // The execute span is also the parent of serve-tier spans
-        // (cache_lookup/solve/execute), so its id is minted up front
-        // and handed down through the executor.
-        let exec = job
-            .trace
-            .map(|t| (t, shared.tracer.new_span_id(), Instant::now()));
-        let (outcome, _cache_hit) = execute_job_traced(
-            &job.spec,
-            accel,
-            &shared.cache,
-            &shared.recorder,
-            &shared.tracer,
-            exec.map(|(t, span, _)| (t.trace, span)),
-        );
-        if let Some((t, span, start)) = exec {
-            shared.tracer.record(&SpanRecord {
-                service: None,
-                trace: t.trace,
-                span,
-                parent: Some(t.req_span),
-                stage: "execute",
-                start,
-                end: Instant::now(),
-                job: Some(job.spec.id),
-                attrs: &[
-                    ("kind", job.spec.kind.label()),
-                    (
-                        "outcome",
-                        if matches!(outcome, JobOutcome::Error { .. }) {
-                            "error"
-                        } else {
-                            "ok"
-                        },
-                    ),
-                ],
-            });
-        }
-        shared.estimator.observe(dequeued.elapsed());
-        if shared.recorder.is_enabled() {
-            let is_error = matches!(outcome, JobOutcome::Error { .. });
-            shared.recorder.counter_add(
-                "drift_serve_jobs_total",
-                &[
-                    ("kind", job.spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
-                ],
-                1,
-            );
-        }
-        if job.expired(Instant::now()) {
-            respond_expired(shared, &job);
-            return;
-        }
-        if job.deadline.is_some() {
-            shared.recorder.counter_add(
-                "drift_gateway_deadline_outcomes_total",
-                &[("outcome", "met")],
-                1,
-            );
-        }
-        let line = result_line(&JobResult {
-            id: job.spec.id,
-            outcome,
-        });
-        respond(shared, &job, line, "ok");
-    }
-}
-
-/// Executes one schedule-key group of a batch: the group's key is
-/// solved/fetched once, every item runs against the resolved schedule,
-/// and each item's rendered payload — byte-identical to what the same
-/// job would produce submitted singly — settles into its batch slot.
+/// Executes one schedule-key group, enforcing the request's deadline at
+/// dequeue and again after execution: the group's key is solved/fetched
+/// once, every item runs against the resolved schedule, and each item's
+/// rendered payload settles into its slot.
 fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
     let dequeued = Instant::now();
+    let request = &*group.batch;
     let n = group.specs.len();
-    record_group_queue_wait(shared, &group, dequeued);
-    if group.doomed(dequeued, shared.estimator.estimate_us()) {
+    if request.doomed(dequeued, shared.estimator.estimate_us()) {
+        record_queue_wait(shared, &group, dequeued, "expired");
         for (pos, spec) in group.positions.iter().zip(&group.specs) {
             count_expired_item(shared);
-            group.batch.settle_item(
+            request.settle_item(
                 shared,
                 *pos,
                 protocol::error_line(Some(spec.id), ERR_DEADLINE),
+                ERR_DEADLINE,
             );
         }
         return;
     }
+    record_queue_wait(shared, &group, dequeued, "ok");
+    // Each item's gateway `execute` span parents its serve-tier spans
+    // (cache_lookup/solve/execute).
+    let spans = request.trace.map(|t| ItemSpans {
+        trace: t.trace,
+        parent: Some(t.req_span),
+        stage: "execute",
+    });
     let results = execute_group(
         group.key.as_ref(),
         &group.specs,
         accel,
         &shared.cache,
         &shared.recorder,
+        &shared.tracer,
+        spans,
     );
     // One dequeue-to-done observation per item, so the admission
     // estimator keeps tracking per-job service time.
     shared
         .estimator
         .observe(dequeued.elapsed() / n.max(1) as u32);
-    let late = group.expired(Instant::now());
+    let late = request.expired(Instant::now());
     for ((pos, spec), (outcome, _cache_hit)) in
         group.positions.iter().zip(&group.specs).zip(results)
     {
@@ -1171,23 +851,24 @@ fn run_group(group: GroupJob, accel: &mut DriftAccelerator, shared: &Shared) {
                 1,
             );
         }
-        let line = if late {
+        if late {
             count_expired_item(shared);
-            protocol::error_line(Some(spec.id), ERR_DEADLINE)
-        } else {
-            if group.deadline.is_some() {
-                shared.recorder.counter_add(
-                    "drift_gateway_deadline_outcomes_total",
-                    &[("outcome", "met")],
-                    1,
-                );
-            }
-            result_line(&JobResult {
-                id: spec.id,
-                outcome,
-            })
-        };
-        group.batch.settle_item(shared, *pos, line);
+            let line = protocol::error_line(Some(spec.id), ERR_DEADLINE);
+            request.settle_item(shared, *pos, line, ERR_DEADLINE);
+            continue;
+        }
+        if request.deadline.is_some() {
+            shared.recorder.counter_add(
+                "drift_gateway_deadline_outcomes_total",
+                &[("outcome", "met")],
+                1,
+            );
+        }
+        let line = result_line(&JobResult {
+            id: spec.id,
+            outcome,
+        });
+        request.settle_item(shared, *pos, line, "ok");
     }
 }
 
@@ -1205,110 +886,35 @@ fn count_expired_item(shared: &Shared) {
     );
 }
 
-/// Observes queue wait once per group (the group was one queue entry)
-/// and records one `queue_wait` span under the batch's request span.
-fn record_group_queue_wait(shared: &Shared, group: &GroupJob, dequeued: Instant) {
-    if shared.recorder.is_enabled() {
-        shared.recorder.observe(
-            "drift_gateway_queue_wait_microseconds",
-            &[("outcome", "ok")],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            dequeued
-                .duration_since(group.admitted)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(t) = &group.batch.trace {
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace: t.trace,
-            span: shared.tracer.new_span_id(),
-            parent: Some(t.req_span),
-            stage: "queue_wait",
-            start: group.admitted,
-            end: dequeued,
-            job: Some(group.batch.id),
-            attrs: &[("outcome", "ok")],
-        });
-    }
-}
-
-/// Observes how long an admitted job sat in the queue, labelled by what
-/// happened at dequeue (`ok` = handed to a worker, `expired` = its
-/// deadline had already passed).
-fn record_queue_wait(shared: &Shared, job: &GatewayJob, dequeued: Instant, outcome: &str) {
+/// Observes how long a group sat in the queue (once per group: it was
+/// one queue entry), labelled by what happened at dequeue (`ok` =
+/// executed, `expired` = discarded as doomed), and records the matching
+/// `queue_wait` span under the request span.
+fn record_queue_wait(shared: &Shared, group: &GroupJob, dequeued: Instant, outcome: &str) {
+    let request = &*group.batch;
     if shared.recorder.is_enabled() {
         shared.recorder.observe(
             "drift_gateway_queue_wait_microseconds",
             &[("outcome", outcome)],
             drift_obs::contract::LATENCY_US_BUCKETS,
             dequeued
-                .duration_since(job.admitted)
+                .duration_since(request.admitted)
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64,
         );
     }
-    // `outcome: "expired"` is the dequeue-discard path: the span shows
-    // how long the doomed job sat in the queue before being thrown out.
-    if let Some(t) = &job.trace {
+    if let Some(t) = &request.trace {
         shared.tracer.record(&SpanRecord {
             service: None,
             trace: t.trace,
             span: shared.tracer.new_span_id(),
             parent: Some(t.req_span),
             stage: "queue_wait",
-            start: job.admitted,
+            start: request.admitted,
             end: dequeued,
-            job: Some(job.spec.id),
+            job: Some(request.id),
             attrs: &[("outcome", outcome)],
         });
-    }
-}
-
-fn respond_expired(shared: &Shared, job: &GatewayJob) {
-    shared.tally.expired.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .counter_add("drift_gateway_requests_expired_total", &[], 1);
-    shared.recorder.counter_add(
-        "drift_gateway_deadline_outcomes_total",
-        &[("outcome", "missed")],
-        1,
-    );
-    respond(
-        shared,
-        job,
-        protocol::error_line(Some(job.spec.id), ERR_DEADLINE),
-        "deadline_exceeded",
-    );
-}
-
-/// Enqueues a response on the job's connection writer and settles the
-/// request's accounting (in-flight gauge, end-to-end latency, the
-/// request trace span).
-fn respond(shared: &Shared, job: &GatewayJob, line: String, outcome: &str) {
-    let recorder = &shared.recorder;
-    recorder.gauge_add("drift_gateway_inflight_requests", &[], -1);
-    if recorder.is_enabled() {
-        recorder.observe(
-            "drift_gateway_request_latency_microseconds",
-            &[],
-            drift_obs::contract::LATENCY_US_BUCKETS,
-            job.admitted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(t) = &job.trace {
-        record_request_span(shared, t, job.spec.id, job.admitted, outcome);
-    }
-    let reply = Reply {
-        line,
-        trace: job.trace.as_ref().map(|t| (t.trace, t.req_span)),
-    };
-    if job.reply.send(reply).is_err() {
-        // The connection is fully gone (reader and writer exited).
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-        recorder.counter_add("drift_gateway_responses_dropped_total", &[], 1);
     }
 }
 
@@ -1338,6 +944,8 @@ mod tests {
             "127.0.0.1:0",
             GatewayConfig::with_workers(2),
             Recorder::disabled(),
+            Tracer::disabled(),
+            None,
         )
         .unwrap();
         let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
@@ -1361,6 +969,8 @@ mod tests {
             "127.0.0.1:0",
             GatewayConfig::with_workers(1),
             Recorder::disabled(),
+            Tracer::disabled(),
+            None,
         )
         .unwrap();
         let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
@@ -1386,6 +996,8 @@ mod tests {
             "127.0.0.1:0",
             GatewayConfig::with_workers(1),
             Recorder::disabled(),
+            Tracer::disabled(),
+            None,
         )
         .unwrap();
         assert!(!gw.draining());

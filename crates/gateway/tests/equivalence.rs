@@ -6,7 +6,7 @@
 use drift_gateway::loadgen::{self, LoadGenConfig};
 use drift_gateway::protocol::{batch_request_line, batch_response_line, request_line};
 use drift_gateway::server::{Gateway, GatewayConfig};
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_serve::job::{result_line, synthetic_jobs, JobSpec};
 use drift_serve::runtime::{serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -21,7 +21,14 @@ fn gateway_results_match_offline_serve_byte_for_byte() {
     let mut config = GatewayConfig::with_workers(8);
     // Deep enough that nothing sheds: every job must come back.
     config.queue_depth = JOBS;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let addr = gw.local_addr().to_string();
 
     let load = LoadGenConfig {
@@ -64,7 +71,14 @@ fn batched_loadgen_matches_offline_serve_byte_for_byte() {
 
     let mut config = GatewayConfig::with_workers(8);
     config.queue_depth = JOBS;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let addr = gw.local_addr().to_string();
 
     let load = LoadGenConfig {
@@ -126,6 +140,8 @@ fn batch_response_lines_splice_the_exact_singleton_bytes() {
         "127.0.0.1:0",
         GatewayConfig::with_workers(2),
         Recorder::disabled(),
+        Tracer::disabled(),
+        None,
     )
     .unwrap();
     let singleton_lines = drive_raw_singleton(&singleton_gw.local_addr().to_string(), &jobs);
@@ -133,7 +149,14 @@ fn batch_response_lines_splice_the_exact_singleton_bytes() {
 
     let mut config = GatewayConfig::with_workers(2);
     config.queue_depth = JOBS;
-    let batch_gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let batch_gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let stream = TcpStream::connect(batch_gw.local_addr()).expect("connect to gateway");
     stream.set_nodelay(true).expect("nodelay");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));

@@ -68,12 +68,12 @@ fn warm_started_gateway_answers_byte_identically_without_solving() {
     let config = GatewayConfig::with_workers(2);
     let specs: Vec<JobSpec> = (0..24).map(spec).collect();
 
-    let cold_gw = Gateway::start_persistent(
+    let cold_gw = Gateway::start(
         "127.0.0.1:0",
         config,
         Recorder::disabled(),
         Tracer::disabled(),
-        &path,
+        Some(&path),
     )
     .unwrap();
     let cold = submit_raw(&cold_gw.local_addr().to_string(), &specs);
@@ -83,12 +83,12 @@ fn warm_started_gateway_answers_byte_identically_without_solving() {
     // loads before the acceptor starts, so the warm run never misses
     // and every response byte matches the cold run's.
     let recorder = Recorder::enabled();
-    let warm_gw = Gateway::start_persistent(
+    let warm_gw = Gateway::start(
         "127.0.0.1:0",
         config,
         recorder.clone(),
         Tracer::disabled(),
-        &path,
+        Some(&path),
     )
     .unwrap();
     let warm = submit_raw(&warm_gw.local_addr().to_string(), &specs);
@@ -108,11 +108,12 @@ fn warm_started_gateway_answers_byte_identically_without_solving() {
 #[test]
 fn prewarm_control_preloads_the_cache_ahead_of_traffic() {
     let recorder = Recorder::enabled();
-    let gw = Gateway::start_traced(
+    let gw = Gateway::start(
         "127.0.0.1:0",
         GatewayConfig::with_workers(1),
         recorder.clone(),
         Tracer::disabled(),
+        None,
     )
     .unwrap();
 

@@ -6,7 +6,7 @@
 use drift_gateway::client::Client;
 use drift_gateway::protocol::{Response, ERR_DEADLINE, ERR_OVERLOADED};
 use drift_gateway::server::{Gateway, GatewayConfig};
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_serve::job::{JobKind, JobSpec};
 use std::collections::BTreeSet;
 
@@ -46,7 +46,14 @@ fn full_queue_sheds_with_overloaded_and_answers_every_request() {
     const REQUESTS: u64 = 16;
     let mut config = GatewayConfig::with_workers(1);
     config.queue_depth = 1;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
     // Pipeline everything at once: the single worker cannot keep up,
@@ -81,7 +88,14 @@ fn full_queue_sheds_with_overloaded_and_answers_every_request() {
 fn stale_requests_expire_with_deadline_exceeded() {
     let mut config = GatewayConfig::with_workers(1);
     config.queue_depth = 8;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
     // Three heavy jobs occupy the single worker; the budgeted request
@@ -113,6 +127,8 @@ fn mid_stream_disconnect_does_not_kill_the_server() {
         "127.0.0.1:0",
         GatewayConfig::with_workers(1),
         Recorder::disabled(),
+        Tracer::disabled(),
+        None,
     )
     .unwrap();
     let addr = gw.local_addr().to_string();
@@ -141,7 +157,14 @@ fn graceful_drain_answers_every_accepted_job() {
     const JOBS: u64 = 32;
     let mut config = GatewayConfig::with_workers(2);
     config.queue_depth = JOBS as usize * 2;
-    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled()).unwrap();
+    let gw = Gateway::start(
+        "127.0.0.1:0",
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        None,
+    )
+    .unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
     for id in 0..JOBS {

@@ -49,7 +49,7 @@ fn field(line: &str, name: &str) -> Option<String> {
 fn drive(tracer: Tracer) -> (Vec<String>, u64) {
     let mut config = GatewayConfig::with_workers(4);
     config.queue_depth = JOBS; // deep enough that nothing sheds
-    let gw = Gateway::start_traced("127.0.0.1:0", config, Recorder::disabled(), tracer).unwrap();
+    let gw = Gateway::start("127.0.0.1:0", config, Recorder::disabled(), tracer, None).unwrap();
     let addr = gw.local_addr().to_string();
     let load = LoadGenConfig {
         clients: 4,

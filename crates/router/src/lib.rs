@@ -32,6 +32,8 @@
 //!     "127.0.0.1:0",
 //!     GatewayConfig::with_workers(2),
 //!     drift_obs::Recorder::disabled(),
+//!     drift_obs::Tracer::disabled(),
+//!     None, // no persistent schedule store
 //! )
 //! .unwrap();
 //! let router = Router::start(
@@ -39,6 +41,7 @@
 //!     &[gw.local_addr().to_string()],
 //!     RouterConfig::default(),
 //!     drift_obs::Recorder::disabled(),
+//!     drift_obs::Tracer::disabled(),
 //! )
 //! .unwrap();
 //! let mut client = Client::connect(&router.local_addr().to_string()).unwrap();

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!  clients ──▶ acceptor ──▶ conn reader ──route by schedule key──┐
-//!                │                │ rewrite id, forward          │
-//!                │                ▼                              ▼
+//!                │       (drift_gateway::conn)  split per shard  │
+//!                │                │                              ▼
 //!                │        pending table ◀─────────── shard links (one
 //!                │                │  settle / fail over  persistent,
 //!                │                ▼                      pipelined conn
@@ -17,26 +17,30 @@
 //! the hash of the exact schedule-cache key its execution will look up
 //! — so every distinct cache entry lives on exactly one shard.
 //!
-//! Client job ids are only unique per client connection, so the router
-//! rewrites each forwarded job to a router-unique internal id and maps
-//! the response back. Responses are byte-identical to a direct gateway
-//! because both sides serialise the same [`drift_serve::job::JobResult`]
-//! the same way.
+//! Every request takes one path: a singleton is a batch of one. Its
+//! items walk the ring, items bound for the same shard travel as one
+//! sub-request under a router-unique internal id (client ids are only
+//! unique per connection), and the response slots are spliced back in
+//! submission order. A singleton still travels as a singleton line
+//! under its internal id and is answered with its one item line, so
+//! the wire on both sides is unchanged. Responses are byte-identical
+//! to a direct gateway because both sides serialise the same
+//! [`drift_serve::job::JobResult`] the same way.
 //!
 //! The unhappy paths are first-class:
 //!
-//! * **shed failover** — a backend `overloaded` answer re-dispatches
-//!   the job to the next distinct shard on its ring walk, up to
-//!   [`RouterConfig::max_hops`] distinct shards; only when the walk is
-//!   exhausted does the client see `overloaded`.
+//! * **shed failover** — a backend `overloaded` answer re-routes the
+//!   sub-request's items to the next distinct shard on each one's ring
+//!   walk, up to [`RouterConfig::max_hops`] distinct shards; only when
+//!   the walk is exhausted does the client see `overloaded`.
 //! * **ejection and re-admission** — a dead connection (or failed
 //!   probe) marks the shard unhealthy, force-closes its socket, and
-//!   re-dispatches every job that was in flight on it (orphan
+//!   re-routes every sub-request that was in flight on it (orphan
 //!   failover); a background probe re-connects and re-admits the shard
 //!   once it answers pings again. Re-execution is safe because results
 //!   are pure functions of the spec, and the client still sees exactly
-//!   one response per request: whichever copy settles the pending entry
-//!   first wins, and both carry identical bytes.
+//!   one response per request: whichever copy settles a slot first
+//!   wins, and both carry identical bytes.
 //! * **deadlines across hops** — the budget is pinned to an absolute
 //!   deadline at admission and each hop forwards only the remainder.
 //! * **live reshard** — `{"control":"reshard","shards":[...]}`
@@ -44,15 +48,16 @@
 //!   ring (reusing connections to retained shards), and acks with how
 //!   many tracked schedule keys changed owner.
 //! * **graceful drain** — like the gateway: stop accepting, answer
-//!   everything in flight, then tear down.
+//!   everything in flight, then tear down. The acceptor, readers and
+//!   writers are the gateway's own [`drift_gateway::conn`] loop.
 
 use crate::ring::{route_key, HashRing};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
 use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_gateway::client::{Client, ClientReader, ClientWriter};
-use drift_gateway::framing::{LineEvent, LineReader};
+use drift_gateway::conn::{Acceptor, LineService, Reply, READ_TICK};
 use drift_gateway::protocol::{
     self, ControlOp, Request, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_OVERLOADED,
 };
@@ -62,18 +67,13 @@ use drift_serve::job::{result_line, JobSpec};
 use drift_serve::worker::schedule_key_for;
 use serde::Value;
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads wake up to check shutdown and idle expiry.
-const READ_TICK: Duration = Duration::from_millis(100);
-/// A connection writer gives a slow client this long per response
-/// before treating the connection as stalled and discarding the rest.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Bounded wait for in-flight jobs to drain during a reshard quiesce.
 const QUIESCE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Cap on the distinct-key set tracked for reshard moved-key counts.
@@ -255,73 +255,64 @@ enum EntryTrace {
     },
 }
 
-/// One admitted job waiting for a backend response.
-#[derive(Debug)]
-struct PendingEntry {
-    /// The id the client used (what the response must carry back).
-    orig_id: u64,
-    /// The spec with its id rewritten to the router-unique internal id.
-    spec: JobSpec,
-    /// Routing key (cached so failover re-walks the same ring chain).
-    key: u64,
-    deadline: Option<Instant>,
-    /// When the job was admitted (root request-span basis).
-    admitted: Instant,
-    /// When the current hop was forwarded (hop latency basis).
-    sent: Instant,
-    /// Dispatch attempts so far.
-    hops: u32,
-    /// Addresses already tried, so failover never revisits a shard.
-    tried: Vec<String>,
-    /// The shard currently executing this job.
-    shard: Option<Arc<ShardLink>>,
-    /// Sampling state decided at admission.
-    trace: EntryTrace,
-    reply: Sender<String>,
-}
-
-/// The client-visible state of one batch request: response slots
-/// indexed by submission position, filled as per-shard sub-batches
-/// settle. The filler of the last slot assembles the single batch
-/// response line, so the client sees its items in submission order no
-/// matter how the batch was split or which shard answered first.
+/// The client-visible state of one request — a singleton or a batch:
+/// response slots indexed by submission position, filled as per-shard
+/// sub-requests settle. The filler of the last slot assembles the
+/// single response line, so the client sees its items in submission
+/// order no matter how the request was split or which shard answered
+/// first.
 #[derive(Debug)]
 struct ClientBatch {
-    /// The batch id the client used (what the response carries back).
+    /// The id the client used for the whole line (what the response
+    /// carries back): the job id of a singleton, the batch id of a
+    /// batch.
     orig_id: u64,
+    /// A singleton is forwarded as a singleton line and answered with
+    /// its one item line, not a batch line.
+    single: bool,
     total: usize,
     slots: Mutex<Vec<Option<String>>>,
     remaining: AtomicUsize,
-    /// When the batch was admitted (root request-span basis).
+    /// When the request was admitted (root request-span basis).
     admitted: Instant,
-    /// Sampling state decided once at admission for the whole batch.
+    /// The request-wide absolute deadline: the budget is shared, so
+    /// each hop forwards one remainder for a whole sub-request — never
+    /// a per-item decrement.
+    deadline: Option<Instant>,
+    /// Sampling state decided once at admission for the whole request.
     trace: EntryTrace,
-    reply: Sender<String>,
+    reply: Sender<Reply>,
 }
 
 impl ClientBatch {
     /// Fills one item's rendered payload; the filler of the last empty
-    /// slot assembles and sends the batch response.
-    fn settle_slot(&self, shared: &Shared, pos: usize, line: String) {
+    /// slot assembles and sends the response. `outcome` labels a
+    /// singleton's root `request` span (`ok`, a wire error name, or
+    /// `unrouted`); a batch's always reads `ok`.
+    fn settle_slot(&self, shared: &Shared, pos: usize, line: String, outcome: &str) {
         {
             let mut slots = self.slots.lock().expect("batch slots");
             debug_assert!(slots[pos].is_none(), "batch slot settled twice");
             slots[pos] = Some(line);
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(shared);
+            self.finish(shared, if self.single { outcome } else { "ok" });
         }
     }
 
-    fn finish(&self, shared: &Shared) {
-        let items: Vec<String> = {
+    fn finish(&self, shared: &Shared, outcome: &str) {
+        let mut items: Vec<String> = {
             let mut slots = self.slots.lock().expect("batch slots");
             slots
                 .iter_mut()
                 .map(|slot| slot.take().expect("all batch slots settled"))
                 .collect()
         };
-        let line = protocol::batch_response_line(self.orig_id, &items);
+        let line = if self.single {
+            items.pop().expect("a singleton has one item")
+        } else {
+            protocol::batch_response_line(self.orig_id, &items)
+        };
         if let EntryTrace::Sampled {
             trace,
             parent,
@@ -338,65 +329,62 @@ impl ClientBatch {
                 start: self.admitted,
                 end: Instant::now(),
                 job: Some(self.orig_id),
-                attrs: &[("outcome", "ok")],
+                attrs: &[("outcome", outcome)],
             });
         }
         shared
             .recorder
             .gauge_add("drift_router_inflight_requests", &[], -(self.total as i64));
-        if self.reply.send(line).is_err() {
+        if self.reply.send(Reply::plain(line)).is_err() {
             shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
 
-/// One per-shard sub-batch of a client batch, in flight to one
-/// gateway as a single batch request line under a router-unique
-/// internal batch id. Item ids inside are *not* rewritten: the gateway
-/// answers items in submission order, so the positional mapping in
-/// `positions` is authoritative and the item payloads come back
-/// already carrying the client's ids.
-#[derive(Debug)]
-struct PendingBatch {
-    batch: Arc<ClientBatch>,
-    /// Submission positions within the client batch, parallel to
-    /// `specs`.
-    positions: Vec<usize>,
-    specs: Vec<JobSpec>,
-    /// The batch-wide absolute deadline: the budget is shared, so each
-    /// hop forwards one remainder for the whole sub-batch — never a
-    /// per-item decrement.
-    deadline: Option<Instant>,
-    /// When the current hop was forwarded (hop latency basis).
-    sent: Instant,
-    /// Dispatch attempts of this sub-batch's items so far.
-    hops: u32,
-    /// Addresses this sub-batch's items have been sent to: failover
-    /// never revisits one, keeping dispatch exactly-once per item per
-    /// shard.
-    tried: Vec<String>,
-    /// The shard currently executing this sub-batch.
-    shard: Option<Arc<ShardLink>>,
-    /// Hop-span state (re-minted per dispatch attempt); the parent is
-    /// the batch's root span.
-    trace: EntryTrace,
-}
-
-/// What an internal id in the pending table maps to: one rewritten
-/// singleton job, or one per-shard sub-batch of a client batch.
-#[derive(Debug)]
-enum Pending {
-    Job(PendingEntry),
-    Batch(PendingBatch),
-}
-
-impl Pending {
-    fn shard(&self) -> Option<&Arc<ShardLink>> {
-        match self {
-            Pending::Job(entry) => entry.shard.as_ref(),
-            Pending::Batch(batch) => batch.shard.as_ref(),
+    /// Settles every item with the same wire error, each in its own
+    /// slot so the rest of the request is unaffected.
+    fn settle_error(&self, shared: &Shared, items: &[Item], error: &str, outcome: &str) {
+        for item in items {
+            let line = protocol::error_line(Some(item.spec.id), error);
+            self.settle_slot(shared, item.pos, line, outcome);
         }
     }
+}
+
+/// One job of a client request, as the router routes it.
+#[derive(Debug)]
+struct Item {
+    /// Submission position within the client request.
+    pos: usize,
+    /// Routing key (computed once, so failover re-walks the same ring
+    /// chain without re-deriving it).
+    key: u64,
+    /// The spec as the client sent it, id included.
+    spec: JobSpec,
+}
+
+/// One per-shard sub-request of a client request, in flight to one
+/// gateway under a router-unique internal id. A batch travels as a
+/// batch line whose item ids are *not* rewritten: the gateway answers
+/// items in submission order, so the positional mapping is
+/// authoritative and the payloads come back already carrying the
+/// client's ids. A singleton travels as a singleton line carrying the
+/// internal id, and its response is re-labelled with the client's id.
+#[derive(Debug)]
+struct Pending {
+    batch: Arc<ClientBatch>,
+    items: Vec<Item>,
+    /// When the current hop was forwarded (hop latency basis).
+    sent: Instant,
+    /// Dispatch attempts of these items so far.
+    hops: u32,
+    /// Addresses these items have been sent to: failover never revisits
+    /// one, keeping dispatch exactly-once per item per shard.
+    tried: Vec<String>,
+    /// The shard currently executing this sub-request.
+    shard: Arc<ShardLink>,
+    /// Hop-span state (re-minted per dispatch attempt); the parent is
+    /// the request's root span.
+    trace: EntryTrace,
 }
 
 /// The routing table: the ring and the index-aligned shard links.
@@ -483,8 +471,7 @@ impl Shared {
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Option<Acceptor>,
     probe: Option<JoinHandle<()>>,
 }
 
@@ -494,31 +481,18 @@ impl Router {
     /// refuse the initial connection start unhealthy and are picked up
     /// by the probe once they come up.
     ///
+    /// Metrics go to `recorder`, distributed-trace spans to `tracer`: a
+    /// root `request` span per admitted request and one `hop` span per
+    /// dispatch attempt (first try, shed failover, dead-shard
+    /// failover). When the router is the ingress edge (no upstream
+    /// decision on the wire) it makes the head-sampling decision;
+    /// downstream tiers honor it. With a disabled tracer every
+    /// forwarded byte is the same.
+    ///
     /// # Errors
     ///
     /// Fails on an empty shard list or a bind failure.
     pub fn start(
-        addr: &str,
-        shards: &[String],
-        config: RouterConfig,
-        recorder: Recorder,
-    ) -> io::Result<Router> {
-        Router::start_traced(addr, shards, config, recorder, Tracer::disabled())
-    }
-
-    /// [`Router::start`], additionally recording distributed-trace
-    /// spans into `tracer`: a root `request` span per admitted job and
-    /// one `hop` span per dispatch attempt (first try, shed failover,
-    /// dead-shard failover). When the router is the ingress edge (no
-    /// upstream decision on the wire) it makes the head-sampling
-    /// decision; downstream tiers honor it. With a disabled tracer the
-    /// router's behaviour — including every forwarded byte — is
-    /// identical to [`Router::start`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty shard list or a bind failure.
-    pub fn start_traced(
         addr: &str,
         shards: &[String],
         config: RouterConfig,
@@ -544,8 +518,7 @@ impl Router {
             connect_timeout_ms: config.connect_timeout_ms.max(10),
             ..config
         };
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = Acceptor::bind(addr)?;
         let addr = listener.local_addr()?;
 
         let links: Vec<Arc<ShardLink>> = unique.iter().map(|a| ShardLink::unconnected(a)).collect();
@@ -577,14 +550,11 @@ impl Router {
         }
         shared.refresh_healthy_gauge();
 
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("router-acceptor".to_string())
-                .spawn(move || acceptor_loop(&listener, &shared, &conns))?
-        };
+        let acceptor = Acceptor::spawn(
+            listener,
+            Arc::new(ClientLines(Arc::clone(&shared))),
+            "router",
+        )?;
         let probe = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -596,7 +566,6 @@ impl Router {
             addr,
             shared,
             acceptor: Some(acceptor),
-            conns,
             probe: Some(probe),
         })
     }
@@ -626,17 +595,14 @@ impl Router {
 
     fn shutdown_in_place(&mut self) -> RouterSummary {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         // Client readers exit at their next tick; each then joins its
-        // writer, which only finishes after every pending entry from
-        // that connection has been settled by the shard readers (the
-        // entries hold the writer's senders). So after this loop the
-        // pending table is empty: accepted work has been answered.
-        let conns = std::mem::take(&mut *self.conns.lock().expect("connection registry"));
-        for conn in conns {
-            let _ = conn.join();
+        // writer, which only finishes after every pending sub-request
+        // from that connection has been settled by the shard readers
+        // (the client requests hold the writer's senders). So after
+        // this join the pending table is empty: accepted work has been
+        // answered.
+        if let Some(mut acceptor) = self.acceptor.take() {
+            acceptor.join();
         }
         // Now the backend connections can go: close the sockets so the
         // shard readers unblock and exit (the stop flag suppresses
@@ -724,7 +690,7 @@ fn eject(shared: &Shared, link: &ShardLink) {
 /// everything that was in flight on it.
 fn shard_reader(shared: &Arc<Shared>, link: &Arc<ShardLink>, mut reader: ClientReader) {
     while let Ok(response) = reader.recv() {
-        on_backend_response(shared, link, response);
+        on_backend_response(shared, response);
     }
     if !shared.stop.load(Ordering::Relaxed) && !link.retired.load(Ordering::Relaxed) {
         eject(shared, link);
@@ -732,70 +698,58 @@ fn shard_reader(shared: &Arc<Shared>, link: &Arc<ShardLink>, mut reader: ClientR
     }
 }
 
-/// Re-dispatches every pending entry assigned to `link` (which just
-/// died). At-least-once execution is safe — results are pure functions
-/// of the spec — and the pending table still guarantees exactly one
-/// response per accepted id.
-fn orphan_failover(shared: &Arc<Shared>, link: &Arc<ShardLink>) {
-    let orphans: Vec<(u64, Pending)> = {
+/// Re-routes every sub-request in flight on `link` (which just died).
+/// At-least-once execution is safe — results are pure functions of the
+/// spec — and the response slots still guarantee exactly one response
+/// per accepted request.
+fn orphan_failover(shared: &Shared, link: &Arc<ShardLink>) {
+    let orphans: Vec<Pending> = {
         let mut pending = shared.pending.lock().expect("pending table");
         let ids: Vec<u64> = pending
             .iter()
-            .filter(|(_, e)| e.shard().is_some_and(|s| Arc::ptr_eq(s, link)))
+            .filter(|(_, p)| Arc::ptr_eq(&p.shard, link))
             .map(|(&id, _)| id)
             .collect();
         ids.into_iter()
-            .filter_map(|id| pending.remove(&id).map(|e| (id, e)))
+            .filter_map(|id| pending.remove(&id))
             .collect()
     };
-    for (internal_id, orphan) in orphans {
-        match orphan {
-            Pending::Job(entry) => {
-                record_hop_span(shared, &entry, "shard_dead");
-                count_failover(shared);
-                dispatch(shared, internal_id, entry);
-            }
-            Pending::Batch(batch) => {
-                record_batch_hop_span(shared, &batch, "shard_dead");
-                count_failover(shared);
-                route_batch(
-                    shared,
-                    &batch.batch,
-                    batch.positions,
-                    batch.specs,
-                    batch.deadline,
-                    batch.tried,
-                    batch.hops,
-                );
-            }
-        }
+    for orphan in orphans {
+        record_hop_span(shared, &orphan, "shard_dead");
+        count_failover(shared);
+        route(
+            shared,
+            &orphan.batch,
+            orphan.items,
+            orphan.tried,
+            orphan.hops,
+        );
     }
 }
 
-/// Records the span of `entry`'s current dispatch attempt (started at
-/// `entry.sent`, against the shard in `entry.shard`). A no-op unless
-/// the entry is sampled with the router tracing.
-fn record_hop_span(shared: &Shared, entry: &PendingEntry, outcome: &str) {
+/// Records the span of a sub-request's current dispatch attempt
+/// (started at `sent`, against `shard`). A no-op unless the request is
+/// sampled with the router tracing.
+fn record_hop_span(shared: &Shared, pending: &Pending, outcome: &str) {
     let EntryTrace::Sampled {
         trace,
         root_span,
         hop_span,
         ..
-    } = entry.trace
+    } = pending.trace
     else {
         return;
     };
-    let addr = entry.shard.as_ref().map_or("", |s| s.addr.as_str());
     shared.tracer.record(&SpanRecord {
         service: None,
         trace,
         span: hop_span,
         parent: Some(root_span),
         stage: "hop",
-        start: entry.sent,
+        start: pending.sent,
         end: Instant::now(),
-        job: Some(entry.orig_id),
-        attrs: &[("outcome", outcome), ("shard", addr)],
+        job: Some(pending.batch.orig_id),
+        attrs: &[("outcome", outcome), ("shard", pending.shard.addr.as_str())],
     });
 }
 
@@ -807,162 +761,67 @@ fn count_failover(shared: &Shared) {
 }
 
 /// Handles one response line from a backend.
-fn on_backend_response(shared: &Arc<Shared>, link: &Arc<ShardLink>, response: Response) {
-    match response {
-        Response::Result(mut result) => {
-            let Some(pending) = shared
-                .pending
-                .lock()
-                .expect("pending table")
-                .remove(&result.id)
-            else {
-                // Already settled by a failover copy; identical bytes
-                // either way, so dropping the duplicate is safe.
-                return;
-            };
-            match pending {
-                Pending::Job(entry) => {
-                    observe_hop(shared, entry.sent);
-                    record_hop_span(shared, &entry, "ok");
-                    result.id = entry.orig_id;
-                    settle(shared, &entry, result_line(&result), "ok");
-                }
-                // Protocol violation — a singleton result correlated to
-                // a batch id. Settle the slots so the client's batch
-                // never hangs.
-                Pending::Batch(batch) => {
-                    record_batch_hop_span(shared, &batch, "error");
-                    settle_batch_error(shared, &batch, ERR_BAD_REQUEST);
-                }
-            }
-        }
-        Response::Batch { id, items } => {
-            let Some(pending) = shared.pending.lock().expect("pending table").remove(&id) else {
-                return;
-            };
-            match pending {
-                Pending::Batch(batch) => {
-                    observe_hop(shared, batch.sent);
-                    record_batch_hop_span(shared, &batch, "ok");
-                    // Splice each item back into its client-batch slot.
-                    // Re-rendering the parsed payload goes through the
-                    // same serialisers the gateway used, so the bytes
-                    // match a singleton submission exactly.
-                    for (i, (pos, spec)) in batch.positions.iter().zip(&batch.specs).enumerate() {
-                        let line = match items.get(i) {
-                            Some(Response::Result(result)) => result_line(result),
-                            Some(Response::Error { id, error }) => protocol::error_line(*id, error),
-                            // Short or malformed item list: answer the
-                            // leftovers instead of stranding the batch.
-                            _ => protocol::error_line(Some(spec.id), ERR_BAD_REQUEST),
-                        };
-                        batch.batch.settle_slot(shared, *pos, line);
-                    }
-                }
-                Pending::Job(entry) => {
-                    record_hop_span(shared, &entry, "error");
-                    settle(
-                        shared,
-                        &entry,
-                        protocol::error_line(Some(entry.orig_id), ERR_BAD_REQUEST),
-                        ERR_BAD_REQUEST,
-                    );
-                }
-            }
-        }
-        Response::Error {
-            id: Some(id),
-            error,
-        } => {
-            let Some(pending) = shared.pending.lock().expect("pending table").remove(&id) else {
-                return;
-            };
-            match pending {
-                Pending::Job(entry) => {
-                    observe_hop(shared, entry.sent);
-                    if error == ERR_OVERLOADED {
-                        // The shard shed the job: walk on to the next
-                        // shard.
-                        record_hop_span(shared, &entry, "overloaded");
-                        count_failover(shared);
-                        dispatch(shared, id, entry);
-                    } else {
-                        record_hop_span(shared, &entry, "error");
-                        settle(
-                            shared,
-                            &entry,
-                            protocol::error_line(Some(entry.orig_id), &error),
-                            &error,
-                        );
-                    }
-                }
-                Pending::Batch(batch) => {
-                    observe_hop(shared, batch.sent);
-                    if error == ERR_OVERLOADED {
-                        // The gateway shed the whole sub-batch (batch
-                        // admission is all-or-shed): walk its items on
-                        // to their next untried shards.
-                        record_batch_hop_span(shared, &batch, "overloaded");
-                        count_failover(shared);
-                        route_batch(
-                            shared,
-                            &batch.batch,
-                            batch.positions,
-                            batch.specs,
-                            batch.deadline,
-                            batch.tried,
-                            batch.hops,
-                        );
-                    } else {
-                        record_batch_hop_span(shared, &batch, "error");
-                        settle_batch_error(shared, &batch, &error);
-                    }
-                }
-            }
-        }
-        // Un-correlatable: a control ack or an id-less error. The
-        // router never sends controls on data connections, so there is
-        // nothing to settle.
-        _ => {
-            let _ = link;
-        }
-    }
-}
-
-/// Settles every item of a failed sub-batch with the same wire error,
-/// each in its own slot so the rest of the client batch is unaffected.
-fn settle_batch_error(shared: &Shared, batch: &PendingBatch, error: &str) {
-    for (pos, spec) in batch.positions.iter().zip(&batch.specs) {
-        batch
-            .batch
-            .settle_slot(shared, *pos, protocol::error_line(Some(spec.id), error));
-    }
-}
-
-/// Records the span of a sub-batch's current dispatch attempt. A no-op
-/// unless the batch is sampled with the router tracing.
-fn record_batch_hop_span(shared: &Shared, batch: &PendingBatch, outcome: &str) {
-    let EntryTrace::Sampled {
-        trace,
-        root_span,
-        hop_span,
-        ..
-    } = batch.trace
-    else {
+fn on_backend_response(shared: &Shared, response: Response) {
+    let id = match &response {
+        Response::Result(result) => result.id,
+        Response::Batch { id, .. } | Response::Error { id: Some(id), .. } => *id,
+        // Un-correlatable: a control ack or an id-less error. The router
+        // never sends controls on data connections, so there is nothing
+        // to settle.
+        _ => return,
+    };
+    let Some(pending) = shared.pending.lock().expect("pending table").remove(&id) else {
+        // Already settled by a failover copy; identical bytes either
+        // way, so dropping the duplicate is safe.
         return;
     };
-    let addr = batch.shard.as_ref().map_or("", |s| s.addr.as_str());
-    shared.tracer.record(&SpanRecord {
-        service: None,
-        trace,
-        span: hop_span,
-        parent: Some(root_span),
-        stage: "hop",
-        start: batch.sent,
-        end: Instant::now(),
-        job: Some(batch.batch.orig_id),
-        attrs: &[("outcome", outcome), ("shard", addr)],
-    });
+    let batch = &pending.batch;
+    match response {
+        Response::Error { error, .. } if error == ERR_OVERLOADED => {
+            // The shard shed the whole sub-request (admission is
+            // all-or-shed): walk its items on to their next untried
+            // shards.
+            observe_hop(shared, pending.sent);
+            record_hop_span(shared, &pending, "overloaded");
+            count_failover(shared);
+            route(shared, batch, pending.items, pending.tried, pending.hops);
+        }
+        Response::Error { error, .. } => {
+            observe_hop(shared, pending.sent);
+            record_hop_span(shared, &pending, "error");
+            batch.settle_error(shared, &pending.items, &error, &error);
+        }
+        Response::Result(mut result) if batch.single => {
+            observe_hop(shared, pending.sent);
+            record_hop_span(shared, &pending, "ok");
+            result.id = batch.orig_id;
+            batch.settle_slot(shared, 0, result_line(&result), "ok");
+        }
+        Response::Batch { items, .. } if !batch.single => {
+            observe_hop(shared, pending.sent);
+            record_hop_span(shared, &pending, "ok");
+            // Splice each item back into its client slot. Re-rendering
+            // the parsed payload goes through the same serialisers the
+            // gateway used, so the bytes match a singleton submission
+            // exactly.
+            for (i, item) in pending.items.iter().enumerate() {
+                let line = match items.get(i) {
+                    Some(Response::Result(result)) => result_line(result),
+                    Some(Response::Error { id, error }) => protocol::error_line(*id, error),
+                    // Short or malformed item list: answer the leftovers
+                    // instead of stranding the request.
+                    _ => protocol::error_line(Some(item.spec.id), ERR_BAD_REQUEST),
+                };
+                batch.settle_slot(shared, item.pos, line, "ok");
+            }
+        }
+        // Protocol violation — a singleton answer to a batch or the
+        // reverse. Settle the slots so the client never hangs.
+        _ => {
+            record_hop_span(shared, &pending, "error");
+            batch.settle_error(shared, &pending.items, ERR_BAD_REQUEST, ERR_BAD_REQUEST);
+        }
+    }
 }
 
 fn observe_hop(shared: &Shared, sent: Instant) {
@@ -973,37 +832,6 @@ fn observe_hop(shared: &Shared, sent: Instant) {
             drift_obs::contract::LATENCY_US_BUCKETS,
             sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
         );
-    }
-}
-
-/// Sends the final response line for `entry` back to its client and
-/// settles the request's accounting. `outcome` labels the root
-/// `request` trace span (`ok`, a wire error name, or `unrouted`).
-fn settle(shared: &Shared, entry: &PendingEntry, line: String, outcome: &str) {
-    if let EntryTrace::Sampled {
-        trace,
-        parent,
-        root_span,
-        ..
-    } = entry.trace
-    {
-        shared.tracer.record(&SpanRecord {
-            service: None,
-            trace,
-            span: root_span,
-            parent,
-            stage: "request",
-            start: entry.admitted,
-            end: Instant::now(),
-            job: Some(entry.orig_id),
-            attrs: &[("outcome", outcome)],
-        });
-    }
-    shared
-        .recorder
-        .gauge_add("drift_router_inflight_requests", &[], -1);
-    if entry.reply.send(line).is_err() {
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1022,219 +850,86 @@ fn remaining_budget_ms(deadline: Instant, now: Instant) -> u64 {
     (nanos.div_ceil(1_000_000).max(1)).min(u128::from(u64::MAX)) as u64
 }
 
-/// Routes and forwards one job (`entry` must not be in the pending
-/// table). Tries ring successors until a healthy untried shard accepts
-/// the write; exhausting the deadline, the hop budget, or the shard set
-/// answers the client directly.
-fn dispatch(shared: &Arc<Shared>, internal_id: u64, mut entry: PendingEntry) {
-    loop {
-        let now = Instant::now();
-        if entry.deadline.is_some_and(|d| now >= d) {
-            shared.tally.expired.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_DEADLINE),
-                ERR_DEADLINE,
-            );
-            return;
-        }
-        if entry.hops >= shared.config.max_hops {
-            shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_OVERLOADED),
-                "unrouted",
-            );
-            return;
-        }
-        let choice: Option<Arc<ShardLink>> = {
-            let table = shared.table.read().expect("routing table");
-            table
-                .ring
-                .owners(entry.key)
-                .into_iter()
-                .map(|i| &table.links[i])
-                .find(|l| l.healthy.load(Ordering::SeqCst) && !entry.tried.contains(&l.addr))
-                .cloned()
-        };
-        let Some(link) = choice else {
-            shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            settle(
-                shared,
-                &entry,
-                protocol::error_line(Some(entry.orig_id), ERR_OVERLOADED),
-                "unrouted",
-            );
-            return;
-        };
-        entry.hops += 1;
-        entry.tried.push(link.addr.clone());
-        entry.sent = now;
-        entry.shard = Some(Arc::clone(&link));
-        // Each dispatch attempt is its own hop span; the fresh id is
-        // forwarded so the gateway's request span parents under it.
-        if let EntryTrace::Sampled { hop_span, .. } = &mut entry.trace {
-            *hop_span = shared.tracer.new_span_id();
-        }
-        let decision = match entry.trace {
-            EntryTrace::Off => TraceDecision::Undecided,
-            EntryTrace::Forward(decision) => decision,
-            EntryTrace::Sampled {
-                trace, hop_span, ..
-            } => TraceDecision::Sampled(TraceContext {
-                trace_id: trace,
-                parent_span: Some(hop_span),
-            }),
-        };
-        // Forward only the remaining budget so hops and failover waits
-        // are charged against the client's original deadline.
-        let remaining_ms = entry.deadline.map(|d| remaining_budget_ms(d, now));
-        let line = protocol::request_line_traced(&entry.spec, remaining_ms, &decision);
-        let addr = link.addr.clone();
-        // Insert before sending: the response must never race an
-        // absent entry.
-        shared
-            .pending
-            .lock()
-            .expect("pending table")
-            .insert(internal_id, Pending::Job(entry));
-        let sent = {
-            let mut writer = link.writer.lock().expect("shard writer");
-            match writer.as_mut() {
-                Some(w) => w.send_raw(&line).is_ok(),
-                None => false,
-            }
-        };
-        if sent {
-            shared.tally.routed.fetch_add(1, Ordering::Relaxed);
-            shared.recorder.counter_add(
-                "drift_router_requests_routed_total",
-                &[("shard", &addr)],
-                1,
-            );
-            return;
-        }
-        // The write failed before a complete line reached the shard
-        // (write_all only errors short), so no response is coming:
-        // take the entry back, kill the connection, walk on.
-        let Some(Pending::Job(reclaimed)) = shared
-            .pending
-            .lock()
-            .expect("pending table")
-            .remove(&internal_id)
-        else {
-            return;
-        };
-        entry = reclaimed;
-        record_hop_span(shared, &entry, "write_failed");
-        eject(shared, &link);
-        count_failover(shared);
-    }
-}
-
-/// Routes a set of batch items (all belonging to `batch`): each item
-/// walks its own ring chain to the first healthy shard not in `tried`,
-/// items sharing a target travel together as one sub-batch under one
-/// internal batch id, and items with no reachable shard settle
-/// `overloaded` in their slots. Failover re-enters this function with
-/// the grown `tried` set, so no item is ever dispatched to the same
-/// shard twice — exactly-once per item per shard, exactly as the
-/// singleton walk guarantees.
+/// Routes a set of items (all belonging to `batch`): each item walks
+/// its own ring chain to the first healthy shard not in `tried`, items
+/// sharing a target travel together as one sub-request under one
+/// internal id, and items with no reachable shard settle `overloaded`
+/// in their slots. Failover re-enters this function with the grown
+/// `tried` set, so no item is ever dispatched to the same shard twice
+/// — exactly-once per item per shard.
 ///
 /// The deadline budget is decremented once per hop for the whole
-/// sub-batch — every sub-batch of a split forwards the same remaining
-/// budget (`batch_remaining_budget_ms`), never a per-item remainder.
-fn route_batch(
-    shared: &Arc<Shared>,
+/// sub-request — every sub-request of a split forwards the same
+/// remaining budget (`batch_remaining_budget_ms`), never a per-item
+/// remainder.
+fn route(
+    shared: &Shared,
     batch: &Arc<ClientBatch>,
-    positions: Vec<usize>,
-    specs: Vec<JobSpec>,
-    deadline: Option<Instant>,
+    items: Vec<Item>,
     tried: Vec<String>,
     hops: u32,
 ) {
-    // One routing work unit: (slot positions, specs, shards tried, hops).
-    type BatchWork = (Vec<usize>, Vec<JobSpec>, Vec<String>, u32);
-    let mut work: Vec<BatchWork> = vec![(positions, specs, tried, hops)];
-    while let Some((positions, specs, tried, hops)) = work.pop() {
+    // One routing work unit: (items, shards tried, hops).
+    let mut work: Vec<(Vec<Item>, Vec<String>, u32)> = vec![(items, tried, hops)];
+    while let Some((items, tried, hops)) = work.pop() {
         let now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
+        if batch.deadline.is_some_and(|d| now >= d) {
             shared
                 .tally
                 .expired
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            for (pos, spec) in positions.iter().zip(&specs) {
-                batch.settle_slot(
-                    shared,
-                    *pos,
-                    protocol::error_line(Some(spec.id), ERR_DEADLINE),
-                );
-            }
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            batch.settle_error(shared, &items, ERR_DEADLINE, ERR_DEADLINE);
             continue;
         }
         if hops >= shared.config.max_hops {
             shared
                 .tally
                 .unrouted
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            for (pos, spec) in positions.iter().zip(&specs) {
-                batch.settle_slot(
-                    shared,
-                    *pos,
-                    protocol::error_line(Some(spec.id), ERR_OVERLOADED),
-                );
-            }
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            batch.settle_error(shared, &items, ERR_OVERLOADED, "unrouted");
             continue;
         }
-        let mut groups: Vec<(Arc<ShardLink>, Vec<usize>, Vec<JobSpec>)> = Vec::new();
-        let mut unroutable: Vec<(usize, JobSpec)> = Vec::new();
+        let mut groups: Vec<(Arc<ShardLink>, Vec<Item>)> = Vec::new();
+        let mut unroutable: Vec<Item> = Vec::new();
         {
             let table = shared.table.read().expect("routing table");
-            for (pos, spec) in positions.into_iter().zip(specs) {
-                let key = route_key(&spec, shared.fabric);
+            for item in items {
                 let choice = table
                     .ring
-                    .owners(key)
+                    .owners(item.key)
                     .into_iter()
                     .map(|i| &table.links[i])
                     .find(|l| l.healthy.load(Ordering::SeqCst) && !tried.contains(&l.addr))
                     .cloned();
                 match choice {
-                    Some(link) => match groups.iter_mut().find(|(g, ..)| Arc::ptr_eq(g, &link)) {
-                        Some((_, ps, ss)) => {
-                            ps.push(pos);
-                            ss.push(spec);
-                        }
-                        None => groups.push((link, vec![pos], vec![spec])),
+                    Some(link) => match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &link)) {
+                        Some((_, group)) => group.push(item),
+                        None => groups.push((link, vec![item])),
                     },
-                    None => unroutable.push((pos, spec)),
+                    None => unroutable.push(item),
                 }
             }
         }
-        for (pos, spec) in unroutable {
-            shared.tally.unrouted.fetch_add(1, Ordering::Relaxed);
-            batch.settle_slot(
-                shared,
-                pos,
-                protocol::error_line(Some(spec.id), ERR_OVERLOADED),
-            );
-        }
+        shared
+            .tally
+            .unrouted
+            .fetch_add(unroutable.len() as u64, Ordering::Relaxed);
+        batch.settle_error(shared, &unroutable, ERR_OVERLOADED, "unrouted");
         if groups.len() > 1 {
             shared
                 .recorder
                 .counter_add("drift_router_batch_splits_total", &[], 1);
         }
-        // One budget computation for this hop: every sub-batch of the
+        // One budget computation for this hop: every sub-request of the
         // split forwards the same remainder.
-        let remaining_ms = batch_remaining_budget_ms(deadline, now);
-        for (link, positions, specs) in groups {
+        let remaining_ms = batch_remaining_budget_ms(batch.deadline, now);
+        for (link, items) in groups {
             let internal_id = shared.next_internal_id.fetch_add(1, Ordering::Relaxed);
             let mut tried = tried.clone();
             tried.push(link.addr.clone());
-            // Each sub-batch dispatch is its own hop span under the
-            // batch's root span.
+            // Each dispatch attempt is its own hop span under the
+            // request's root span; the fresh id is forwarded so the
+            // gateway's request span parents under it.
             let mut trace = batch.trace;
             if let EntryTrace::Sampled { hop_span, .. } = &mut trace {
                 *hop_span = shared.tracer.new_span_id();
@@ -1249,25 +944,31 @@ fn route_batch(
                     parent_span: Some(hop_span),
                 }),
             };
-            let line =
-                protocol::batch_request_line_traced(internal_id, &specs, remaining_ms, &decision);
-            let addr = link.addr.clone();
-            let entry = PendingBatch {
-                batch: Arc::clone(batch),
-                positions,
-                specs,
-                deadline,
-                sent: now,
-                hops: hops + 1,
-                tried,
-                shard: Some(Arc::clone(&link)),
-                trace,
+            let line = if batch.single {
+                let spec = JobSpec {
+                    id: internal_id,
+                    ..items[0].spec.clone()
+                };
+                protocol::request_line_traced(&spec, remaining_ms, &decision)
+            } else {
+                let specs: Vec<JobSpec> = items.iter().map(|item| item.spec.clone()).collect();
+                protocol::batch_request_line_traced(internal_id, &specs, remaining_ms, &decision)
             };
-            shared
-                .pending
-                .lock()
-                .expect("pending table")
-                .insert(internal_id, Pending::Batch(entry));
+            let addr = link.addr.clone();
+            // Insert before sending: the response must never race an
+            // absent entry.
+            shared.pending.lock().expect("pending table").insert(
+                internal_id,
+                Pending {
+                    batch: Arc::clone(batch),
+                    items,
+                    sent: now,
+                    hops: hops + 1,
+                    tried,
+                    shard: Arc::clone(&link),
+                    trace,
+                },
+            );
             let sent = {
                 let mut writer = link.writer.lock().expect("shard writer");
                 match writer.as_mut() {
@@ -1284,9 +985,11 @@ fn route_batch(
                 );
                 continue;
             }
-            // Write failed: reclaim the sub-batch, kill the connection,
-            // and re-route its items past this shard.
-            let Some(Pending::Batch(reclaimed)) = shared
+            // The write failed before a complete line reached the shard
+            // (write_all only errors short), so no response is coming:
+            // reclaim the sub-request, kill the connection, and re-route
+            // its items past this shard.
+            let Some(reclaimed) = shared
                 .pending
                 .lock()
                 .expect("pending table")
@@ -1294,15 +997,10 @@ fn route_batch(
             else {
                 continue;
             };
-            record_batch_hop_span(shared, &reclaimed, "write_failed");
+            record_hop_span(shared, &reclaimed, "write_failed");
             eject(shared, &link);
             count_failover(shared);
-            work.push((
-                reclaimed.positions,
-                reclaimed.specs,
-                reclaimed.tried,
-                reclaimed.hops,
-            ));
+            work.push((reclaimed.items, reclaimed.tried, reclaimed.hops));
         }
     }
 }
@@ -1315,163 +1013,97 @@ fn batch_remaining_budget_ms(deadline: Option<Instant>, now: Instant) -> Option<
     deadline.map(|d| remaining_budget_ms(d, now))
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<JoinHandle<()>>>) {
-    while !shared.should_stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("router-conn".to_string())
-                    .spawn(move || connection(stream, &shared));
-                if let Ok(handle) = handle {
-                    let mut conns = conns.lock().expect("connection registry");
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(READ_TICK),
-            Err(_) => std::thread::sleep(READ_TICK),
+/// The router's side of the shared connection loop: client request
+/// lines in, routed sub-requests out.
+#[derive(Debug)]
+struct ClientLines(Arc<Shared>);
+
+impl LineService for ClientLines {
+    fn should_stop(&self) -> bool {
+        self.0.should_stop()
+    }
+
+    fn idle_timeout_ms(&self) -> u64 {
+        self.0.config.idle_timeout_ms
+    }
+
+    fn tracer(&self) -> &Tracer {
+        &self.0.tracer
+    }
+
+    fn connection(&self, opened: bool) {
+        if opened {
+            self.0.tally.connections.fetch_add(1, Ordering::Relaxed);
         }
+        self.0
+            .recorder
+            .gauge_add("drift_router_connections", &[], if opened { 1 } else { -1 });
     }
-}
 
-/// One client connection's reader: parses request lines, admits and
-/// dispatches jobs, and owns the paired writer thread's lifetime.
-fn connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.tally.connections.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_router_connections", &[], 1);
-
-    let (reply_tx, reply_rx) = unbounded::<String>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("router-writer".to_string())
-            .spawn(move || writer_loop(write_half, &reply_rx, &shared))
-    };
-
-    let mut lines = LineReader::new(stream);
-    let mut last_activity = Instant::now();
-    let idle = shared.config.idle_timeout_ms;
-    while !shared.should_stop() {
-        match lines.next_line() {
-            LineEvent::Line(line) => {
-                last_activity = Instant::now();
-                if !handle_client_line(&line, shared, &reply_tx) {
-                    break;
-                }
-            }
-            LineEvent::TimedOut => {
-                if idle > 0 && last_activity.elapsed() >= Duration::from_millis(idle) {
-                    break;
-                }
-            }
-            LineEvent::Eof | LineEvent::Failed => break,
-        }
-    }
-    // Dropping our sender lets the writer exit once every in-flight
-    // job's clone is gone — i.e. after all accepted work is answered.
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-    shared
-        .recorder
-        .gauge_add("drift_router_connections", &[], -1);
-}
-
-/// Handles one request line from a client. Returns `false` when the
-/// connection should stop reading (a shutdown control).
-fn handle_client_line(line: &str, shared: &Arc<Shared>, reply: &Sender<String>) -> bool {
-    if line.trim().is_empty() {
-        return true;
-    }
-    // The router understands one control the gateway protocol does
-    // not — reshard — so controls are intercepted before parse_request
-    // (which would reject the unknown op).
-    if let Ok(value) = serde_json::from_str::<Value>(line) {
-        if let Some(Value::Str(op)) = value.get("control") {
-            let op = op.as_str();
-            return match op {
-                "ping" => {
-                    let _ = reply.send(protocol::control_ack_line(ControlOp::Ping, true));
-                    true
-                }
-                "shutdown" => {
-                    let _ = reply.send(protocol::control_ack_line(ControlOp::Shutdown, true));
-                    shared.drain.store(true, Ordering::SeqCst);
-                    false
-                }
-                "reshard" => {
-                    let ack = reshard(shared, &value);
-                    let _ = reply.send(ack);
-                    true
-                }
-                _ => {
-                    shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(protocol::error_line(None, ERR_BAD_REQUEST));
-                    true
-                }
-            };
-        }
-    }
-    match protocol::parse_request(line) {
-        Err(_) => {
+    fn handle_line(&self, line: &str, reply: &Sender<Reply>) -> bool {
+        let shared = &self.0;
+        let reject = || {
             shared.tally.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(protocol::error_line(None, ERR_BAD_REQUEST));
-            true
-        }
-        // Controls were handled above; this arm is unreachable but
-        // keeps the match total if the protocol grows.
-        Ok(Request::Control(op)) => {
-            let _ = reply.send(protocol::control_ack_line(op, true));
-            !matches!(op, ControlOp::Shutdown)
-        }
-        // Also intercepted above (prewarm is a control): the router
-        // holds no schedule cache — prewarm targets gateways directly.
-        Ok(Request::Prewarm(_)) => {
-            let _ = reply.send(protocol::prewarm_ack_line(false, 0));
-            true
-        }
-        Ok(Request::Job {
-            spec,
-            deadline_ms,
-            trace,
-        }) => {
-            // A reshard quiesce holds admissions at the door; jobs
-            // already in flight drain unhindered.
-            while shared.resharding.load(Ordering::SeqCst) {
-                if shared.should_stop() {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+            let _ = reply.send(Reply::plain(protocol::error_line(None, ERR_BAD_REQUEST)));
+        };
+        let (id, specs, single, deadline_ms, trace) = match protocol::parse_request(line) {
+            Ok(Request::Control(ControlOp::Ping)) => {
+                let ack = protocol::control_ack_line(ControlOp::Ping, true);
+                let _ = reply.send(Reply::plain(ack));
+                return true;
             }
-            admit(shared, spec, deadline_ms, trace, reply);
-            true
-        }
-        Ok(Request::Batch {
-            id,
-            specs,
-            deadline_ms,
-            trace,
-        }) => {
-            while shared.resharding.load(Ordering::SeqCst) {
-                if shared.should_stop() {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+            Ok(Request::Control(ControlOp::Shutdown)) => {
+                let ack = protocol::control_ack_line(ControlOp::Shutdown, true);
+                let _ = reply.send(Reply::plain(ack));
+                shared.drain.store(true, Ordering::SeqCst);
+                return false;
             }
-            admit_batch(shared, id, specs, deadline_ms, trace, reply);
-            true
+            // The router holds no schedule cache: prewarm targets
+            // gateways directly.
+            Ok(Request::Prewarm(_)) => {
+                reject();
+                return true;
+            }
+            Ok(Request::Job {
+                spec,
+                deadline_ms,
+                trace,
+            }) => (spec.id, vec![spec], true, deadline_ms, trace),
+            Ok(Request::Batch {
+                id,
+                specs,
+                deadline_ms,
+                trace,
+            }) => (id, specs, false, deadline_ms, trace),
+            // The router understands one control the gateway protocol
+            // does not — reshard — which is why the line failed to parse.
+            Err(_) => {
+                let control = serde_json::from_str::<Value>(line).ok().filter(
+                    |v| matches!(v.get("control"), Some(Value::Str(op)) if op == "reshard"),
+                );
+                match control {
+                    Some(value) => {
+                        let _ = reply.send(Reply::plain(reshard(shared, &value)));
+                    }
+                    None => reject(),
+                }
+                return true;
+            }
+        };
+        // A reshard quiesce holds admissions at the door; requests
+        // already in flight drain unhindered.
+        while shared.resharding.load(Ordering::SeqCst) {
+            if shared.should_stop() {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
+        admit(shared, id, specs, single, deadline_ms, trace, reply);
+        true
+    }
+
+    fn response_dropped(&self) {
+        self.0.tally.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1502,65 +1134,17 @@ fn resolve_entry_trace(shared: &Shared, trace_wire: TraceDecision) -> EntryTrace
     }
 }
 
-/// Admits one job: assigns the internal id, computes the routing key,
-/// resolves the trace sampling decision, and dispatches.
+/// Admits one request — `single` for a singleton line — with one trace
+/// decision and one shared deadline for the whole line, then routes its
+/// items ([`route`]).
 fn admit(
-    shared: &Arc<Shared>,
-    spec: JobSpec,
-    deadline_ms: Option<u64>,
-    trace_wire: TraceDecision,
-    reply: &Sender<String>,
-) {
-    let admitted = Instant::now();
-    let trace = resolve_entry_trace(shared, trace_wire);
-    let deadline = deadline_ms
-        .filter(|&budget| budget > 0)
-        .map(|budget| admitted + Duration::from_millis(budget));
-    let internal_id = shared.next_internal_id.fetch_add(1, Ordering::Relaxed);
-    let orig_id = spec.id;
-    let mut spec = spec;
-    spec.id = internal_id;
-    let key = route_key(&spec, shared.fabric);
-    {
-        let mut seen = shared.seen_keys.lock().expect("seen keys");
-        if seen.len() < SEEN_KEYS_CAP && !seen.contains_key(&key) {
-            // The schedule key re-derives in microseconds and only on
-            // the first sighting of a routing hash; reshard prewarming
-            // needs the real key, not just its hash.
-            seen.insert(key, schedule_key_for(&spec, shared.fabric));
-        }
-    }
-    shared.tally.accepted.fetch_add(1, Ordering::Relaxed);
-    shared
-        .recorder
-        .gauge_add("drift_router_inflight_requests", &[], 1);
-    let entry = PendingEntry {
-        orig_id,
-        spec,
-        key,
-        deadline,
-        admitted,
-        sent: admitted,
-        hops: 0,
-        tried: Vec::new(),
-        shard: None,
-        trace,
-        reply: reply.clone(),
-    };
-    dispatch(shared, internal_id, entry);
-}
-
-/// Admits one batch request: one trace decision and one shared
-/// deadline for the whole line, then the items are split by the shard
-/// that owns each one's routing key and dispatched as per-shard
-/// sub-batches ([`route_batch`]).
-fn admit_batch(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
     specs: Vec<JobSpec>,
+    single: bool,
     deadline_ms: Option<u64>,
     trace_wire: TraceDecision,
-    reply: &Sender<String>,
+    reply: &Sender<Reply>,
 ) {
     let admitted = Instant::now();
     let trace = resolve_entry_trace(shared, trace_wire);
@@ -1568,15 +1152,24 @@ fn admit_batch(
         .filter(|&budget| budget > 0)
         .map(|budget| admitted + Duration::from_millis(budget));
     let total = specs.len();
-    {
+    let items: Vec<Item> = {
         let mut seen = shared.seen_keys.lock().expect("seen keys");
-        for spec in &specs {
-            let key = route_key(spec, shared.fabric);
-            if seen.len() < SEEN_KEYS_CAP && !seen.contains_key(&key) {
-                seen.insert(key, schedule_key_for(spec, shared.fabric));
-            }
-        }
-    }
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(pos, spec)| {
+                let key = route_key(&spec, shared.fabric);
+                if seen.len() < SEEN_KEYS_CAP && !seen.contains_key(&key) {
+                    // The schedule key re-derives in microseconds and
+                    // only on the first sighting of a routing hash;
+                    // reshard prewarming needs the real key, not just
+                    // its hash.
+                    seen.insert(key, schedule_key_for(&spec, shared.fabric));
+                }
+                Item { pos, key, spec }
+            })
+            .collect()
+    };
     shared
         .tally
         .accepted
@@ -1586,15 +1179,16 @@ fn admit_batch(
         .gauge_add("drift_router_inflight_requests", &[], total as i64);
     let batch = Arc::new(ClientBatch {
         orig_id: id,
+        single,
         total,
         slots: Mutex::new(vec![None; total]),
         remaining: AtomicUsize::new(total),
         admitted,
+        deadline,
         trace,
         reply: reply.clone(),
     });
-    let positions: Vec<usize> = (0..total).collect();
-    route_batch(shared, &batch, positions, specs, deadline, Vec::new(), 0);
+    route(shared, &batch, items, Vec::new(), 0);
 }
 
 /// Executes a `{"control":"reshard","shards":[...],"vnodes":K}`
@@ -1771,25 +1365,6 @@ fn prewarm_moved_keys(shared: &Shared, moving: Vec<(ScheduleKey, String)>) -> u6
             .counter_add("drift_router_prewarm_keys_total", &[], prewarmed);
     }
     prewarmed
-}
-
-/// Writes response lines until every sender is gone; a write failure
-/// flips to discard mode so in-flight senders never block on a dead
-/// peer (same contract as the gateway's writer).
-fn writer_loop(mut stream: TcpStream, replies: &Receiver<String>, shared: &Shared) {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut dead = false;
-    for line in replies.iter() {
-        if !dead {
-            let mut bytes = line.into_bytes();
-            bytes.push(b'\n');
-            dead = stream.write_all(&bytes).is_err() || stream.flush().is_err();
-            if !dead {
-                continue;
-            }
-        }
-        shared.tally.dropped.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The health-probe thread: pings healthy shards over a fresh

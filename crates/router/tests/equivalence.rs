@@ -5,7 +5,7 @@
 
 use drift_gateway::protocol::request_line;
 use drift_gateway::{Gateway, GatewayConfig};
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_router::{Router, RouterConfig};
 use drift_serve::job::{result_line, synthetic_jobs, JobKind, JobSpec};
 use serde::Value;
@@ -28,6 +28,8 @@ fn start_gateways(n: usize, cache_capacity: usize, recorder: &Recorder) -> Vec<G
                 "127.0.0.1:0",
                 gateway_config(cache_capacity),
                 recorder.clone(),
+                Tracer::disabled(),
+                None,
             )
             .expect("gateway binds on an ephemeral port")
         })
@@ -95,6 +97,7 @@ fn router_over_four_gateways_is_byte_identical_to_offline_serve() {
         &addrs(&gateways),
         RouterConfig::default(),
         Recorder::disabled(),
+        Tracer::disabled(),
     )
     .expect("router starts");
 
@@ -173,6 +176,7 @@ fn sharded_cache_hit_rate_beats_a_single_gateway() {
         &addrs(&gateways),
         RouterConfig::default(),
         Recorder::enabled(),
+        Tracer::disabled(),
     )
     .expect("router starts");
     drive_raw(router.local_addr(), &jobs);
@@ -242,6 +246,7 @@ fn router_batch_responses_splice_the_exact_singleton_bytes() {
         &addrs(&single_gws),
         RouterConfig::default(),
         Recorder::disabled(),
+        Tracer::disabled(),
     )
     .expect("router starts");
     let singleton = drive_raw(single_router.local_addr(), &jobs);
@@ -256,6 +261,7 @@ fn router_batch_responses_splice_the_exact_singleton_bytes() {
         &addrs(&gateways),
         RouterConfig::default(),
         Recorder::enabled(),
+        Tracer::disabled(),
     )
     .expect("router starts");
     let batched = drive_raw_batched(router.local_addr(), &jobs, BATCH);

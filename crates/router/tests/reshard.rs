@@ -6,7 +6,7 @@
 
 use drift_gateway::protocol::request_line;
 use drift_gateway::{Gateway, GatewayConfig};
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_router::{Router, RouterConfig};
 use drift_serve::job::{JobKind, JobSpec};
 use serde::Value;
@@ -19,6 +19,8 @@ fn start_gateway(recorder: &Recorder) -> Gateway {
         "127.0.0.1:0",
         GatewayConfig::with_workers(2),
         recorder.clone(),
+        Tracer::disabled(),
+        None,
     )
     .expect("gateway binds on an ephemeral port")
 }
@@ -118,6 +120,7 @@ fn reshard_grows_and_shrinks_the_ring_without_losing_jobs() {
         &[addr_of(0), addr_of(1)],
         RouterConfig::default(),
         recorder.clone(),
+        Tracer::disabled(),
     )
     .expect("router starts");
     let mut conn = RawConn::open(router.local_addr());

@@ -16,11 +16,13 @@
 //! * **statistics** ([`stats`]) — per-worker job counts, cache hits,
 //!   and p50/p99 latencies, aggregated into a [`stats::ServeReport`].
 //!
-//! With [`runtime::serve_with_recorder`], every stage additionally
-//! records into a [`drift_obs::Recorder`] — queue depth, cache
-//! hits/misses, per-worker latency histograms, per-array cycle counters
-//! — without changing any result (`docs/OBSERVABILITY.md` documents the
-//! full metric contract).
+//! With [`runtime::serve_on_cache`], every stage additionally records
+//! into a [`drift_obs::Recorder`] — queue depth, cache hits/misses,
+//! per-worker latency histograms, per-array cycle counters — and a
+//! [`drift_obs::Tracer`], without changing any result
+//! (`docs/OBSERVABILITY.md` documents the full metric contract).
+//! Every job, singleton or batch item, executes through the one keyed
+//! routine [`worker::execute_group`].
 //!
 //! Jobs and results travel as JSONL ([`job`]), one JSON object per
 //! line, so streams pipe through the `drift serve` CLI:
@@ -71,7 +73,5 @@ pub use job::{
 };
 pub use persist::{open_and_preload, StoreBinding};
 pub use queue::{Deadlined, QueuePolicy};
-pub use runtime::{
-    serve, serve_on_cache, serve_traced, serve_with_recorder, ServeConfig, ServeOutcome,
-};
+pub use runtime::{serve, serve_on_cache, ServeConfig, ServeOutcome};
 pub use stats::ServeReport;

@@ -47,6 +47,16 @@ impl ServeConfig {
             ..ServeConfig::default()
         }
     }
+
+    /// An empty schedule cache sized by this configuration, recording
+    /// into `recorder`.
+    pub fn new_cache(&self, recorder: Recorder) -> ScheduleCache {
+        ScheduleCache::with_recorder(
+            self.cache_capacity.max(1),
+            self.cache_shards.max(1),
+            recorder,
+        )
+    }
 }
 
 /// Everything a serve run produces.
@@ -58,7 +68,9 @@ pub struct ServeOutcome {
     pub report: ServeReport,
 }
 
-/// Runs `jobs` on a worker pool and collects every result.
+/// Runs `jobs` on a worker pool and collects every result, with
+/// observability off and a fresh cache ([`serve_on_cache`] is the
+/// full entry point).
 ///
 /// Jobs are fed through a bounded queue (backpressure keeps at most
 /// `queue_depth` in flight beyond what workers hold), workers pull
@@ -67,46 +79,29 @@ pub struct ServeOutcome {
 /// by id before returning so equal job streams compare equal across
 /// configurations.
 pub fn serve(jobs: Vec<JobSpec>, config: &ServeConfig) -> ServeOutcome {
-    serve_with_recorder(jobs, config, Recorder::disabled())
+    let cache = config.new_cache(Recorder::disabled());
+    serve_on_cache(
+        jobs,
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+        &cache,
+    )
 }
 
-/// [`serve`] with observability: every stage of the pipeline — queue,
-/// cache, workers, and each worker's simulator — records into
-/// `recorder` (see `docs/OBSERVABILITY.md` for the metric contract).
+/// [`serve`] over a caller-owned cache, recording into `recorder` and
+/// `tracer`.
 ///
-/// Results and the report are identical to [`serve`] for the same job
-/// stream: recording is strictly write-only.
-pub fn serve_with_recorder(
-    jobs: Vec<JobSpec>,
-    config: &ServeConfig,
-    recorder: Recorder,
-) -> ServeOutcome {
-    serve_traced(jobs, config, recorder, Tracer::disabled())
-}
-
-/// [`serve_with_recorder`] with distributed tracing: the runtime acts
-/// as its own ingress edge, head-sampling jobs by submission sequence
-/// number and recording serve-tier spans through `tracer`. With a
-/// disabled tracer results are identical to [`serve_with_recorder`].
-pub fn serve_traced(
-    jobs: Vec<JobSpec>,
-    config: &ServeConfig,
-    recorder: Recorder,
-    tracer: Tracer,
-) -> ServeOutcome {
-    let cache = ScheduleCache::with_recorder(
-        config.cache_capacity.max(1),
-        config.cache_shards.max(1),
-        recorder.clone(),
-    );
-    serve_on_cache(jobs, config, recorder, tracer, &cache)
-}
-
-/// [`serve_traced`] over a caller-owned cache. The caller may have
-/// warm-started the cache from a `drift-store` log and attached a
-/// persistence spill before the run; the runtime itself neither knows
-/// nor cares — results are a pure function of the job stream either
-/// way (warm-vs-cold byte-identity is tested).
+/// Every stage of the pipeline — queue, cache, workers, and each
+/// worker's simulator — records into `recorder` (see
+/// `docs/OBSERVABILITY.md` for the metric contract). The runtime acts
+/// as its own tracing ingress edge, head-sampling jobs by submission
+/// sequence number and recording serve-tier spans through `tracer`.
+/// The caller may have warm-started the cache from a `drift-store` log
+/// and attached a persistence spill before the run.
+///
+/// Results are a pure function of the job stream: recording is
+/// write-only, and warm-vs-cold byte-identity is tested.
 pub fn serve_on_cache(
     jobs: Vec<JobSpec>,
     config: &ServeConfig,
@@ -303,7 +298,8 @@ mod tests {
         let config = ServeConfig::with_workers(3);
         let plain = serve(jobs.clone(), &config);
         let rec = Recorder::enabled();
-        let observed = serve_with_recorder(jobs, &config, rec.clone());
+        let cache = config.new_cache(rec.clone());
+        let observed = serve_on_cache(jobs, &config, rec.clone(), Tracer::disabled(), &cache);
         assert_eq!(plain.results, observed.results);
         assert_eq!(plain.report.jobs, observed.report.jobs);
         assert_eq!(plain.report.cache.hits, observed.report.cache.hits);
@@ -333,7 +329,9 @@ mod tests {
     fn prometheus_export_covers_the_serve_pipeline() {
         let jobs = synthetic_jobs(60, 4, 17);
         let rec = Recorder::enabled();
-        serve_with_recorder(jobs, &ServeConfig::with_workers(2), rec.clone());
+        let config = ServeConfig::with_workers(2);
+        let cache = config.new_cache(rec.clone());
+        serve_on_cache(jobs, &config, rec.clone(), Tracer::disabled(), &cache);
         let text = rec.registry().unwrap().snapshot().to_prometheus();
         // The acceptance criteria's minimum exported set.
         for needle in [

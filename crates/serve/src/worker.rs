@@ -18,7 +18,7 @@ use crossbeam::channel::Sender;
 use drift_accel::gemm::{GemmShape, GemmWorkload};
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::accelerator::DriftAccelerator;
-use drift_core::schedule::ScheduleKey;
+use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
 use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
@@ -32,6 +32,8 @@ use std::time::Instant;
 /// Executes one job on `accel`, using `cache` for schedules. Returns
 /// the outcome and whether the schedule came from the cache.
 ///
+/// A job is a group of one: this is [`execute_group`] under the job's
+/// own [`schedule_key_for`] key, with no recorder and no tracer.
 /// Failures of any stage land in [`JobOutcome::Error`] rather than
 /// tearing down the worker: one malformed job must not poison the
 /// stream.
@@ -40,126 +42,190 @@ pub fn execute_job(
     accel: &mut DriftAccelerator,
     cache: &ScheduleCache,
 ) -> (JobOutcome, bool) {
-    execute_job_recorded(spec, accel, cache, &Recorder::disabled())
+    let key = schedule_key_for(spec, accel.fabric());
+    let mut outcomes = execute_group(
+        key.as_ref(),
+        std::slice::from_ref(spec),
+        accel,
+        cache,
+        &Recorder::disabled(),
+        &Tracer::disabled(),
+        None,
+    );
+    outcomes.pop().expect("one outcome per spec")
 }
 
-/// [`execute_job`] with selector metrics: a Select job's per-sub-tensor
-/// decisions are folded into `recorder` (the accelerator and cache
-/// carry their own recorders). Outcomes are identical to
-/// [`execute_job`] for any recorder state.
-pub fn execute_job_recorded(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-) -> (JobOutcome, bool) {
-    execute_job_traced(spec, accel, cache, recorder, &Tracer::disabled(), None)
+/// Where [`execute_group`] hangs each job's trace spans: one `stage`
+/// span per job (carrying the job id and `kind`/`outcome` attrs) under
+/// `parent`, with the serve-tier `cache_lookup`, `solve` and `execute`
+/// spans nested beneath it. The span belongs to the tracer's own
+/// service: the gateway's `execute` span, or offline serve's root
+/// `job` span.
+#[derive(Debug, Clone, Copy)]
+pub struct ItemSpans {
+    /// The trace the jobs belong to.
+    pub trace: TraceId,
+    /// The span each per-job span hangs under (`None` for a root).
+    pub parent: Option<u64>,
+    /// The per-job span's stage name.
+    pub stage: &'static str,
 }
 
-/// [`execute_job_recorded`], additionally recording serve-tier trace
-/// spans (`cache_lookup`/`solve` around the schedule cache, `execute`
-/// around the simulator or selector) through `tracer`, parented under
-/// `ctx` = (trace id, parent span id). With a disabled tracer or no
-/// context the outcome and every metric are identical to
-/// [`execute_job_recorded`].
-pub fn execute_job_traced(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-    tracer: &Tracer,
-    ctx: Option<(TraceId, u64)>,
-) -> (JobOutcome, bool) {
-    accel.reset();
-    let ctx = if tracer.is_enabled() { ctx } else { None };
-    match run_job(spec, accel, cache, recorder, tracer, ctx) {
-        Ok(pair) => pair,
-        Err(message) => (JobOutcome::Error { message }, false),
-    }
-}
-
-/// Executes a batch group of jobs that all share one schedule key,
-/// resolving that key against `cache` exactly once.
+/// Executes jobs that all share one schedule key, resolving that key
+/// against `cache` exactly once — the paper's one solve per layer
+/// shape, served to every sub-tensor of that shape.
 ///
-/// This is the serve-side half of batched submission: the gateway
-/// groups a batch's items by [`schedule_key_for`] and hands each group
-/// here, so `len - 1` redundant cache probes (and their shard-lock
-/// acquisitions) per group collapse into a single
-/// [`ScheduleCache::get_or_solve`]. Outcomes are byte-identical to
-/// executing every spec individually through [`execute_job`]: each job
-/// still gets its own accelerator reset and per-job seeded RNG, and
-/// the shared schedule is the same pure function of the key either
-/// path would resolve.
+/// Every request path runs through here: offline serve and the gateway
+/// hand over a singleton as a group of one, and the gateway groups a
+/// batch's items by [`schedule_key_for`] so `len - 1` redundant cache
+/// probes (and their shard-lock acquisitions) per group collapse into
+/// a single lookup. Each job still gets its own accelerator reset and
+/// per-job seeded RNG, so outcomes are the same pure function of the
+/// spec however jobs are grouped.
 ///
 /// `key` must be the [`schedule_key_for`] value shared by every spec
-/// in the group (`None` for the keyless group: Select jobs and invalid
-/// shapes, which are executed individually). Returns one
-/// `(outcome, cache_hit)` pair per spec, in order; only the first
-/// keyed job reports the real probe outcome — the rest would have hit
-/// by construction.
+/// in the group (`None` for keyless jobs: Select jobs and invalid
+/// shapes, which share nothing). Returns one `(outcome, cache_hit)`
+/// pair per spec, in order; only the first keyed job reports the real
+/// probe outcome — the rest would have hit by construction.
+///
+/// A Select job's per-sub-tensor decisions fold into `recorder`. With
+/// `spans` set and `tracer` enabled each job records the spans
+/// [`ItemSpans`] describes; the first keyed job's span also parents
+/// the key's `cache_lookup`/`solve`. Outcomes never depend on either.
 pub fn execute_group(
     key: Option<&ScheduleKey>,
     specs: &[JobSpec],
     accel: &mut DriftAccelerator,
     cache: &ScheduleCache,
     recorder: &Recorder,
+    tracer: &Tracer,
+    spans: Option<ItemSpans>,
 ) -> Vec<(JobOutcome, bool)> {
-    let Some(key) = key else {
-        // Keyless jobs share nothing worth amortising.
-        return specs
-            .iter()
-            .map(|spec| execute_job_recorded(spec, accel, cache, recorder))
-            .collect();
-    };
     debug_assert!(specs
         .iter()
-        .all(|s| schedule_key_for(s, accel.fabric()).as_ref() == Some(key)));
-    let resolved = cache.get_or_solve(*key);
+        .all(|s| schedule_key_for(s, accel.fabric()).as_ref() == key));
+    let spans = spans.filter(|_| tracer.is_enabled());
+    let mut resolved: Option<drift_core::Result<(Schedule, bool)>> = None;
     specs
         .iter()
-        .enumerate()
-        .map(|(i, spec)| match &resolved {
-            Ok((schedule, hit)) => {
-                accel.reset();
-                match run_with_schedule(spec, accel, schedule) {
-                    Ok(outcome) => (outcome, if i == 0 { *hit } else { true }),
-                    Err(message) => (JobOutcome::Error { message }, false),
+        .map(|spec| {
+            let item = spans.map(|s| (s, tracer.new_span_id(), Instant::now()));
+            let ctx = item.map(|(s, span, _)| (s.trace, span));
+            accel.reset();
+            let run = match key {
+                None => run_item(spec, accel, None, recorder, tracer, ctx).map(|o| (o, false)),
+                Some(key) => {
+                    let first = resolved.is_none();
+                    match resolved
+                        .get_or_insert_with(|| cache.get_or_solve_traced(*key, tracer, ctx))
+                    {
+                        Ok((schedule, hit)) => {
+                            run_item(spec, accel, Some(schedule), recorder, tracer, ctx)
+                                .map(|o| (o, !first || *hit))
+                        }
+                        // A solve failure reads exactly as it would per job.
+                        Err(e) => Err(e.to_string()),
+                    }
                 }
+            };
+            let (outcome, hit) =
+                run.unwrap_or_else(|message| (JobOutcome::Error { message }, false));
+            if let Some((s, span, start)) = item {
+                let is_error = matches!(outcome, JobOutcome::Error { .. });
+                tracer.record(&SpanRecord {
+                    service: None,
+                    trace: s.trace,
+                    span,
+                    parent: s.parent,
+                    stage: s.stage,
+                    start,
+                    end: Instant::now(),
+                    job: Some(spec.id),
+                    attrs: &[
+                        ("kind", spec.kind.label()),
+                        ("outcome", if is_error { "error" } else { "ok" }),
+                    ],
+                });
             }
-            // A solve failure reads exactly as it would per job.
-            Err(e) => (
-                JobOutcome::Error {
-                    message: e.to_string(),
-                },
-                false,
-            ),
+            (outcome, hit)
         })
         .collect()
 }
 
-/// Runs one keyed job against an already-resolved schedule — the
-/// per-item tail of [`execute_group`], with the cache probe hoisted
-/// out. Must mirror the corresponding [`run_job`] arms byte for byte.
-fn run_with_schedule(
+/// Runs one job against its resolved schedule (`None` for keyless
+/// jobs), recording the serve-tier `execute` span under `ctx` =
+/// (trace id, parent span id) when set.
+fn run_item(
     spec: &JobSpec,
     accel: &mut DriftAccelerator,
-    schedule: &drift_core::schedule::Schedule,
+    schedule: Option<&Schedule>,
+    recorder: &Recorder,
+    tracer: &Tracer,
+    ctx: Option<(TraceId, u64)>,
 ) -> Result<JobOutcome, String> {
+    const NO_KEY: &str = "job has no schedule key";
     match &spec.kind {
-        JobKind::Select { .. } => Err("select jobs carry no schedule key".to_string()),
-        JobKind::Schedule { .. } => Ok(JobOutcome::Schedule {
-            makespan: schedule.makespan,
-            latencies: schedule.latencies,
-        }),
+        JobKind::Select {
+            tokens,
+            hidden,
+            delta,
+            profile,
+        } => {
+            let exec_start = ctx.map(|_| Instant::now());
+            let profile = match profile.as_str() {
+                "cnn" => TokenProfile::cnn(),
+                "vit" => TokenProfile::vit(),
+                "bert" => TokenProfile::bert(),
+                "llm" => TokenProfile::llm(),
+                other => return Err(format!("unknown profile '{other}'")),
+            };
+            let data = profile
+                .generate(*tokens, *hidden, spec.seed)
+                .map_err(|e| e.to_string())?;
+            let policy = DriftPolicy::new(*delta).map_err(|e| e.to_string())?;
+            let run = run_policy(
+                &data,
+                &SubTensorScheme::token(*hidden),
+                Precision::INT8,
+                &policy,
+            )
+            .map_err(|e| e.to_string())?;
+            record_policy_run(recorder, &run);
+            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
+                record_execute_span(tracer, ctx, start, "select");
+            }
+            Ok(JobOutcome::Select {
+                low_subtensors: run.low_subtensors(),
+                subtensors: run.decisions.len(),
+                low_fraction: run.low_fraction(),
+            })
+        }
+        JobKind::Schedule { m, k, n, .. } => {
+            GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
+            let schedule = schedule.ok_or(NO_KEY)?;
+            Ok(JobOutcome::Schedule {
+                makespan: schedule.makespan,
+                latencies: schedule.latencies,
+            })
+        }
         JobKind::Simulate { m, k, n, fa, fw } => {
             let shape = GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
+            // Precision maps are Bernoulli draws from the job's private
+            // ChaCha stream — scattered like real selector output, yet
+            // reproducible from the spec alone.
             let (act_high, weight_high) = simulate_precision_maps(spec.seed, *m, *n, *fa, *fw);
             let workload =
                 GemmWorkload::new(format!("job-{}", spec.id), shape, act_high, weight_high)
                     .map_err(|e| e.to_string())?;
+            let schedule = schedule.ok_or(NO_KEY)?;
+            let exec_start = ctx.map(|_| Instant::now());
             let report = accel
                 .execute_with_schedule(&workload, *schedule)
                 .map_err(|e| e.to_string())?;
+            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
+                record_execute_span(tracer, ctx, start, "simulate");
+            }
             Ok(JobOutcome::Simulate {
                 cycles: report.cycles,
                 compute_cycles: report.compute_cycles,
@@ -238,104 +304,6 @@ pub fn schedule_key_for(spec: &JobSpec, fabric: ArrayGeometry) -> Option<Schedul
     }
 }
 
-fn run_job(
-    spec: &JobSpec,
-    accel: &mut DriftAccelerator,
-    cache: &ScheduleCache,
-    recorder: &Recorder,
-    tracer: &Tracer,
-    ctx: Option<(TraceId, u64)>,
-) -> Result<(JobOutcome, bool), String> {
-    match &spec.kind {
-        JobKind::Select {
-            tokens,
-            hidden,
-            delta,
-            profile,
-        } => {
-            let exec_start = ctx.map(|_| Instant::now());
-            let profile = match profile.as_str() {
-                "cnn" => TokenProfile::cnn(),
-                "vit" => TokenProfile::vit(),
-                "bert" => TokenProfile::bert(),
-                "llm" => TokenProfile::llm(),
-                other => return Err(format!("unknown profile '{other}'")),
-            };
-            let data = profile
-                .generate(*tokens, *hidden, spec.seed)
-                .map_err(|e| e.to_string())?;
-            let policy = DriftPolicy::new(*delta).map_err(|e| e.to_string())?;
-            let run = run_policy(
-                &data,
-                &SubTensorScheme::token(*hidden),
-                Precision::INT8,
-                &policy,
-            )
-            .map_err(|e| e.to_string())?;
-            record_policy_run(recorder, &run);
-            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "select");
-            }
-            Ok((
-                JobOutcome::Select {
-                    low_subtensors: run.low_subtensors(),
-                    subtensors: run.decisions.len(),
-                    low_fraction: run.low_fraction(),
-                },
-                false,
-            ))
-        }
-        JobKind::Schedule { m, k, n, .. } => {
-            GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
-            // Same truncation as `drift schedule`: fractions become
-            // prefix counts (built inside `schedule_key_for`, the one
-            // place the spec → key mapping lives).
-            let key = schedule_key_for(spec, accel.fabric())
-                .ok_or_else(|| "schedule job has no schedule key".to_string())?;
-            let (schedule, hit) = cache
-                .get_or_solve_traced(key, tracer, ctx)
-                .map_err(|e| e.to_string())?;
-            Ok((
-                JobOutcome::Schedule {
-                    makespan: schedule.makespan,
-                    latencies: schedule.latencies,
-                },
-                hit,
-            ))
-        }
-        JobKind::Simulate { m, k, n, fa, fw } => {
-            let shape = GemmShape::new(*m, *k, *n).map_err(|e| e.to_string())?;
-            // Precision maps are Bernoulli draws from the job's private
-            // ChaCha stream — scattered like real selector output, yet
-            // reproducible from the spec alone.
-            let (act_high, weight_high) = simulate_precision_maps(spec.seed, *m, *n, *fa, *fw);
-            let workload =
-                GemmWorkload::new(format!("job-{}", spec.id), shape, act_high, weight_high)
-                    .map_err(|e| e.to_string())?;
-            let key = ScheduleKey::for_workload(&workload, accel.fabric());
-            let (schedule, hit) = cache
-                .get_or_solve_traced(key, tracer, ctx)
-                .map_err(|e| e.to_string())?;
-            let exec_start = ctx.map(|_| Instant::now());
-            let report = accel
-                .execute_with_schedule(&workload, schedule)
-                .map_err(|e| e.to_string())?;
-            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "simulate");
-            }
-            Ok((
-                JobOutcome::Simulate {
-                    cycles: report.cycles,
-                    compute_cycles: report.compute_cycles,
-                    dram_cycles: report.dram_cycles,
-                    energy_pj: report.energy.total_pj(),
-                },
-                hit,
-            ))
-        }
-    }
-}
-
 /// One pool thread: pulls jobs until the queue closes, sending one
 /// result per job, and returns its counters.
 ///
@@ -363,15 +331,26 @@ pub(crate) fn worker_loop(
         // Offline serve is its own ingress edge: the submission
         // sequence number is the sampling input, and each sampled job
         // gets a root `job` span with cache/solve/execute children.
-        let job_trace = tracer
-            .decide(seq)
-            .context()
-            .map(|c| (c.trace_id, tracer.new_span_id()));
+        let spans = tracer.decide(seq).context().map(|c| ItemSpans {
+            trace: c.trace_id,
+            parent: None,
+            stage: "job",
+        });
         let start = Instant::now();
         let (outcome, cache_hit) = {
             let job_span = span!(recorder, "serve_job");
-            let (outcome, cache_hit) =
-                execute_job_traced(&spec, &mut accel, cache, &recorder, &tracer, job_trace);
+            let key = schedule_key_for(&spec, accel.fabric());
+            let (outcome, cache_hit) = execute_group(
+                key.as_ref(),
+                std::slice::from_ref(&spec),
+                &mut accel,
+                cache,
+                &recorder,
+                &tracer,
+                spans,
+            )
+            .pop()
+            .expect("one outcome per spec");
             if let JobOutcome::Simulate { cycles, .. } = &outcome {
                 job_span.add_cycles(*cycles);
             }
@@ -379,22 +358,6 @@ pub(crate) fn worker_loop(
         };
         let latency = start.elapsed();
         let is_error = matches!(outcome, JobOutcome::Error { .. });
-        if let Some((trace, span_id)) = job_trace {
-            tracer.record(&SpanRecord {
-                service: None,
-                trace,
-                span: span_id,
-                parent: None,
-                stage: "job",
-                start,
-                end: Instant::now(),
-                job: Some(spec.id),
-                attrs: &[
-                    ("kind", spec.kind.label()),
-                    ("outcome", if is_error { "error" } else { "ok" }),
-                ],
-            });
-        }
         if recorder.is_enabled() {
             recorder.counter_add(
                 "drift_serve_jobs_total",

@@ -6,7 +6,7 @@
 
 use drift_core::accelerator::DriftAccelerator;
 use drift_core::schedule::ScheduleKey;
-use drift_obs::Recorder;
+use drift_obs::{Recorder, Tracer};
 use drift_serve::job::{result_line, JobResult, JobSpec};
 use drift_serve::worker::{execute_group, execute_job, schedule_key_for};
 use drift_serve::{synthetic_jobs, ScheduleCache};
@@ -53,7 +53,15 @@ fn grouped_lines(specs: &[JobSpec]) -> Vec<String> {
     let mut lines: Vec<Option<String>> = vec![None; specs.len()];
     for (key, positions) in groups {
         let members: Vec<JobSpec> = positions.iter().map(|&p| specs[p].clone()).collect();
-        let outcomes = execute_group(key.as_ref(), &members, &mut accel, &cache, &recorder);
+        let outcomes = execute_group(
+            key.as_ref(),
+            &members,
+            &mut accel,
+            &cache,
+            &recorder,
+            &Tracer::disabled(),
+            None,
+        );
         assert_eq!(outcomes.len(), members.len(), "one outcome per member");
         for ((pos, spec), (outcome, _hit)) in positions.iter().zip(&members).zip(outcomes) {
             lines[*pos] = Some(result_line(&JobResult {
@@ -115,7 +123,15 @@ fn group_cache_hits_report_shared_schedule_reuse() {
     let mut accel = accel();
     let cache = ScheduleCache::new(16, 2);
     let recorder = Recorder::disabled();
-    let outcomes = execute_group(key.as_ref(), &specs, &mut accel, &cache, &recorder);
+    let outcomes = execute_group(
+        key.as_ref(),
+        &specs,
+        &mut accel,
+        &cache,
+        &recorder,
+        &Tracer::disabled(),
+        None,
+    );
     let (first_hit, rest) = (outcomes[0].1, &outcomes[1..]);
     assert!(!first_hit, "a cold cache makes the first job the solver");
     assert!(

@@ -295,11 +295,14 @@ echo "batch smoke: ok"
 echo "== trace smoke test =="
 # End-to-end distributed tracing: loadgen through the router and two
 # gateway shards, every tier writing a JSONL span file, with 1-in-1
-# sampling decided at the router (the ingress edge). `drift trace`
-# merges the three files and asserts every sampled trace reconstructs
-# a full waterfall — all router and gateway hops plus a serve-tier
-# span, exactly one trace per job, zero orphaned spans (the default
-# failure mode; no --allow-orphans here). docs/OBSERVABILITY.md.
+# sampling decided at the router (the ingress edge). A singleton pass
+# (200 jobs, one trace each) is followed by a batched pass (192 jobs in
+# 24 batch lines of 8, one trace per line). `drift trace` merges the
+# three files and asserts every sampled trace reconstructs a full
+# waterfall — all router and gateway hops, including the per-item
+# `gateway.execute` spans batches share with singletons, plus a
+# serve-tier span — exactly 224 traces, zero orphaned spans (the
+# default failure mode; no --allow-orphans here). docs/OBSERVABILITY.md.
 GW1_PORT_FILE="$(mktemp)"; rm -f "$GW1_PORT_FILE"
 GW2_PORT_FILE="$(mktemp)"; rm -f "$GW2_PORT_FILE"
 RT_PORT_FILE="$(mktemp)";  rm -f "$RT_PORT_FILE"
@@ -339,6 +342,8 @@ fi
 RT_ADDR="$(cat "$RT_PORT_FILE")"
 ./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 200 \
   > /dev/null
+./target/release/drift loadgen --addr "$RT_ADDR" --clients 4 --jobs 192 \
+  --batch 8 > /dev/null
 ./target/release/drift router-stop --addr "$RT_ADDR"
 ./target/release/drift gateway-stop --addr "$GW1_ADDR"
 ./target/release/drift gateway-stop --addr "$GW2_ADDR"
@@ -357,7 +362,7 @@ if kill -0 "$RT_PID" 2>/dev/null || kill -0 "$GW1_PID" 2>/dev/null \
 fi
 wait "$RT_PID" "$GW1_PID" "$GW2_PID"
 ./target/release/drift trace "$RT_TRACE" "$GW1_TRACE" "$GW2_TRACE" \
-  --expect-traces 200 \
+  --expect-traces 224 \
   --check-services router,gateway,serve \
   --check-hops router.request,router.hop,gateway.request,gateway.queue_wait,gateway.execute,gateway.response_write \
   > /dev/null
