@@ -165,3 +165,24 @@ fn forward_is_pure() {
     let b = model.forward(&input, &ForwardMode::Fp32).unwrap();
     assert_eq!(a.logits, b.logits);
 }
+
+/// `TokenProfile::generate` is pinned bit for bit: an FNV-1a checksum
+/// over the f32 bit patterns of one `[64, 512]` tensor per profile. Any
+/// change to the RNG draw sequence or the f32 operation order of the
+/// generator changes a checksum.
+#[test]
+fn token_profile_generate_bits_are_pinned() {
+    let expected: [(&str, TokenProfile, u64); 4] = [
+        ("cnn", TokenProfile::cnn(), 0xcb80_4dcd_0adc_4ba4),
+        ("vit", TokenProfile::vit(), 0x3769_2afd_3a53_e6a6),
+        ("bert", TokenProfile::bert(), 0xbfb7_82be_a3bb_3a0f),
+        ("llm", TokenProfile::llm(), 0xe39d_2f58_b324_baf3),
+    ];
+    for (name, profile, checksum) in expected {
+        let t = profile.generate(64, 512, 42).unwrap();
+        let got = t.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x1000_0000_01b3)
+        });
+        assert_eq!(got, checksum, "{name}: {got:#018x}");
+    }
+}
