@@ -1,16 +1,20 @@
 //! Criterion: throughput of the Drift precision selector — the per-
 //! sub-tensor decision the hardware controller evaluates online. The
 //! paper claims the algorithm adds no computational overhead; this
-//! bench quantifies the software-model cost per decision.
+//! bench quantifies the software-model cost per decision, and splits a
+//! serve Select job on a 256×768 BERT activation into its layers:
+//! generating the tensor, deciding (the streaming pass serve runs),
+//! and deciding plus materialising the effective tensor.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use drift_core::selector::DriftPolicy;
 use drift_nn::datagen::TokenProfile;
 use drift_quant::linear::QuantParams;
-use drift_quant::policy::{PrecisionPolicy, TensorContext};
+use drift_quant::policy::{decide_policy, run_policy, PrecisionPolicy, TensorContext};
 use drift_quant::precision::Precision;
 use drift_tensor::rng::seeded;
 use drift_tensor::stats::SummaryStats;
+use drift_tensor::subtensor::SubTensorScheme;
 
 fn bench_selector(c: &mut Criterion) {
     let policy = DriftPolicy::new(0.3).expect("delta is valid");
@@ -44,5 +48,23 @@ fn bench_selector(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_selector);
+fn bench_select_layers(c: &mut Criterion) {
+    let (tokens, hidden) = (256, 768);
+    let profile = TokenProfile::bert();
+    let policy = DriftPolicy::new(0.03).expect("delta is valid");
+    let scheme = SubTensorScheme::token(hidden);
+    let data = profile.generate(tokens, hidden, 42).expect("valid dims");
+
+    c.bench_function("selector/generate_256x768", |b| {
+        b.iter(|| profile.generate(tokens, hidden, 42).expect("valid dims"))
+    });
+    c.bench_function("selector/decide_policy_256x768", |b| {
+        b.iter(|| decide_policy(&data, &scheme, Precision::INT8, &policy).expect("token divides"))
+    });
+    c.bench_function("selector/run_policy_256x768", |b| {
+        b.iter(|| run_policy(&data, &scheme, Precision::INT8, &policy).expect("token divides"))
+    });
+}
+
+criterion_group!(benches, bench_selector, bench_select_layers);
 criterion_main!(benches);

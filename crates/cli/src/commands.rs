@@ -14,7 +14,7 @@ use drift_core::selector::DriftPolicy;
 use drift_nn::datagen::TokenProfile;
 use drift_nn::lower::{lower, model_low_fraction, model_workloads};
 use drift_nn::zoo::{self, ModelDesc, ModelFamily};
-use drift_quant::policy::run_policy;
+use drift_quant::policy::decide_policy;
 use drift_quant::Precision;
 use drift_tensor::subtensor::SubTensorScheme;
 use std::collections::HashMap;
@@ -68,7 +68,7 @@ pub fn select(opts: &Opts) -> Result<(), String> {
         .generate(tokens, hidden, seed)
         .map_err(|e| e.to_string())?;
     let policy = DriftPolicy::new(delta).map_err(|e| e.to_string())?;
-    let run = run_policy(
+    let run = decide_policy(
         &data,
         &SubTensorScheme::token(hidden),
         Precision::INT8,

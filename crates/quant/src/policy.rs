@@ -11,7 +11,7 @@
 //! treat them interchangeably.
 
 use crate::convert::ConversionChoice;
-use crate::linear::{dequantize_slice, quantize_slice, QuantParams};
+use crate::linear::{dequantize_value, quantize_value, QuantParams};
 use crate::precision::Precision;
 use crate::Result;
 use drift_tensor::stats::SummaryStats;
@@ -145,6 +145,28 @@ pub struct SubTensorDecision {
     pub decision: Decision,
 }
 
+/// A policy's decisions over a whole tensor: what the precision
+/// selector hands the accelerator, without the reconstructed tensor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyDecisions {
+    /// The initial quantization parameters.
+    pub params: QuantParams,
+    /// Per-sub-tensor decisions, in view order.
+    pub decisions: Vec<SubTensorDecision>,
+}
+
+impl PolicyDecisions {
+    /// Fraction of *elements* that compute at low precision.
+    pub fn low_fraction(&self) -> f64 {
+        low_fraction(&self.decisions)
+    }
+
+    /// Count of sub-tensors that selected low precision.
+    pub fn low_subtensors(&self) -> usize {
+        low_subtensors(&self.decisions)
+    }
+}
+
 /// The result of running a policy over a whole tensor.
 ///
 /// `effective` holds the dequantized values *as the selected encodings
@@ -164,95 +186,146 @@ pub struct PolicyRun {
 impl PolicyRun {
     /// Fraction of *elements* that compute at low precision.
     pub fn low_fraction(&self) -> f64 {
-        let total: usize = self.decisions.iter().map(|d| d.len).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let low: usize = self
-            .decisions
-            .iter()
-            .filter(|d| d.decision.is_low())
-            .map(|d| d.len)
-            .sum();
-        low as f64 / total as f64
+        low_fraction(&self.decisions)
     }
 
     /// Count of sub-tensors that selected low precision.
     pub fn low_subtensors(&self) -> usize {
-        self.decisions
-            .iter()
-            .filter(|d| d.decision.is_low())
-            .count()
+        low_subtensors(&self.decisions)
     }
 }
 
-/// Runs `policy` over `tensor` partitioned by `scheme`:
+fn low_fraction(decisions: &[SubTensorDecision]) -> f64 {
+    let total: usize = decisions.iter().map(|d| d.len).sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let low: usize = decisions
+        .iter()
+        .filter(|d| d.decision.is_low())
+        .map(|d| d.len)
+        .sum();
+    low as f64 / total as f64
+}
+
+fn low_subtensors(decisions: &[SubTensorDecision]) -> usize {
+    decisions.iter().filter(|d| d.decision.is_low()).count()
+}
+
+fn scheme_error(e: drift_tensor::TensorError) -> crate::QuantError {
+    crate::QuantError::InvalidParameter {
+        name: "scheme",
+        detail: e.to_string(),
+    }
+}
+
+/// Decides `policy` over `tensor` partitioned by `scheme`, in one
+/// streaming pass — what the accelerator's pooling unit and precision
+/// selector do:
 ///
-/// 1. quantize the whole tensor to `hp` with a per-tensor scale (Eq. 1);
-/// 2. compute each sub-tensor's statistics (what the pooling unit does);
-/// 3. ask the policy for a decision per sub-tensor;
-/// 4. materialise the effective (mixed-precision, dequantized) tensor.
+/// 1. read the tensor front to back once, feeding every element into
+///    the whole-tensor statistics and into its sub-tensor's statistics;
+/// 2. take the per-tensor scale Δ from the whole-tensor `max|X|`
+///    (Eq. 1);
+/// 3. ask the policy for a decision per sub-tensor.
+///
+/// Nothing is quantized or copied: the only allocations are one
+/// statistics slot and one decision per sub-tensor. Each accumulator
+/// sees its elements in the same order as a gather of its view would,
+/// so the statistics — and therefore the decisions — are exactly those
+/// of [`run_policy`].
 ///
 /// # Errors
 ///
 /// Propagates partitioning errors (e.g. a token length that does not
-/// divide the tensor) and quantization errors.
+/// divide the tensor).
+pub fn decide_policy(
+    tensor: &Tensor,
+    scheme: &SubTensorScheme,
+    hp: Precision,
+    policy: &dyn PrecisionPolicy,
+) -> Result<PolicyDecisions> {
+    let data = tensor.as_slice();
+    let mut global = SummaryStats::new();
+    let mut views = vec![SummaryStats::new(); scheme.count(tensor.shape()).map_err(scheme_error)?];
+    scheme
+        .for_each_range(tensor.shape(), |id, range| {
+            let view = &mut views[id];
+            for &v in &data[range] {
+                global.push(v);
+                view.push(v);
+            }
+        })
+        .map_err(scheme_error)?;
+
+    let params = QuantParams::from_abs_max(global.abs_max(), hp);
+    let ctx = TensorContext { global, params };
+    let decisions = views
+        .iter()
+        .enumerate()
+        .map(|(view_id, stats)| SubTensorDecision {
+            view_id,
+            len: stats.count() as usize,
+            decision: policy.decide(&ctx, stats),
+        })
+        .collect();
+    Ok(PolicyDecisions { params, decisions })
+}
+
+/// Builds the effective tensor of `decided` in place over a copy of
+/// `tensor`: every element is quantized at Δ and reconstructed through
+/// its sub-tensor's selected encoding.
+fn materialise(
+    tensor: &Tensor,
+    scheme: &SubTensorScheme,
+    decided: &PolicyDecisions,
+) -> Result<Tensor> {
+    let params = &decided.params;
+    let mut effective = tensor.clone();
+    let data = effective.as_mut_slice();
+    scheme
+        .for_each_range(tensor.shape(), |id, range| {
+            let values = &mut data[range];
+            match decided.decisions[id].decision {
+                Decision::Keep => {
+                    for v in values {
+                        *v = dequantize_value(quantize_value(*v, params), params);
+                    }
+                }
+                Decision::Convert(choice) => {
+                    for v in values {
+                        let low = choice.apply_value(quantize_value(*v, params));
+                        *v = choice.dequantize_value(low, params);
+                    }
+                }
+            }
+        })
+        .map_err(scheme_error)?;
+    Ok(effective)
+}
+
+/// Runs `policy` over `tensor` partitioned by `scheme`: the decisions
+/// of [`decide_policy`], plus the effective (mixed-precision,
+/// dequantized) tensor they imply.
+///
+/// Callers that need only the decisions — the serving tier, `drift
+/// select` — call [`decide_policy`] and skip the reconstruction.
+///
+/// # Errors
+///
+/// Propagates partitioning errors (e.g. a token length that does not
+/// divide the tensor).
 pub fn run_policy(
     tensor: &Tensor,
     scheme: &SubTensorScheme,
     hp: Precision,
     policy: &dyn PrecisionPolicy,
 ) -> Result<PolicyRun> {
-    let (codes, params) = quantize_slice(tensor.as_slice(), hp)?;
-    let global = SummaryStats::from_slice(tensor.as_slice());
-    let ctx = TensorContext { global, params };
-
-    let views =
-        scheme
-            .partition(tensor.shape())
-            .map_err(|e| crate::QuantError::InvalidParameter {
-                name: "scheme",
-                detail: e.to_string(),
-            })?;
-
-    let mut decisions = Vec::with_capacity(views.len());
-    let mut effective = tensor.clone();
-    for view in &views {
-        let sub = tensor
-            .subtensor(view)
-            .map_err(|e| crate::QuantError::InvalidParameter {
-                name: "view",
-                detail: e.to_string(),
-            })?;
-        let stats = SummaryStats::from_slice(&sub);
-        let decision = policy.decide(&ctx, &stats);
-
-        // Gather this sub-tensor's integer codes and reconstruct through
-        // the selected encoding.
-        let sub_codes: Vec<i32> = view.indices().map(|i| codes[i]).collect();
-        let restored = match decision {
-            Decision::Keep => dequantize_slice(&sub_codes, &params),
-            Decision::Convert(choice) => {
-                let low = choice.apply_slice(&sub_codes);
-                choice.dequantize_slice(&low, &params)
-            }
-        };
-        effective.set_subtensor(view, &restored).map_err(|e| {
-            crate::QuantError::InvalidParameter {
-                name: "view",
-                detail: e.to_string(),
-            }
-        })?;
-        decisions.push(SubTensorDecision {
-            view_id: view.id(),
-            len: view.len(),
-            decision,
-        });
-    }
-
+    let decided = decide_policy(tensor, scheme, hp, policy)?;
+    let effective = materialise(tensor, scheme, &decided)?;
     Ok(PolicyRun {
-        params,
-        decisions,
+        params: decided.params,
+        decisions: decided.decisions,
         effective,
     })
 }

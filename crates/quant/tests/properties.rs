@@ -1,16 +1,27 @@
 //! Property-based tests for the quantization layer, including the
-//! integer-GEMM/effective-path equivalence across arbitrary policies.
+//! integer-GEMM/effective-path equivalence across arbitrary policies
+//! and the streaming selection pass against the gather-based one it
+//! replaced.
 
+use drift_core::selector::DriftPolicy;
 use drift_quant::convert::ConversionChoice;
 use drift_quant::drq::DrqPolicy;
 use drift_quant::gating::PrecisionGatingPolicy;
 use drift_quant::intgemm::{int_gemm, CodedMatrix};
-use drift_quant::linear::{cosine_similarity, dequantize_slice, mse, quantize_slice, sqnr_db};
-use drift_quant::policy::{run_policy, PrecisionPolicy, StaticHighPolicy, StaticLowPolicy};
+use drift_quant::linear::{
+    cosine_similarity, dequantize_slice, mse, quantize_slice, sqnr_db, QuantParams,
+};
+use drift_quant::policy::{
+    decide_policy, run_policy, Decision, PrecisionPolicy, StaticHighPolicy, StaticLowPolicy,
+    SubTensorDecision, TensorContext,
+};
 use drift_quant::Precision;
+use drift_tensor::rng::seeded;
+use drift_tensor::stats::SummaryStats;
 use drift_tensor::subtensor::SubTensorScheme;
 use drift_tensor::Tensor;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn policies() -> Vec<Box<dyn PrecisionPolicy>> {
     vec![
@@ -21,7 +32,157 @@ fn policies() -> Vec<Box<dyn PrecisionPolicy>> {
     ]
 }
 
+/// The gather-based `run_policy` the streaming pass replaced, kept as
+/// the reference: quantize the whole tensor, then per view gather its
+/// values for the statistics and its codes for the reconstruction, and
+/// scatter the reconstruction into a clone of the input.
+fn reference_run(
+    tensor: &Tensor,
+    scheme: &SubTensorScheme,
+    hp: Precision,
+    policy: &dyn PrecisionPolicy,
+) -> (QuantParams, Vec<SubTensorDecision>, Tensor) {
+    let (codes, params) = quantize_slice(tensor.as_slice(), hp).unwrap();
+    let global = SummaryStats::from_slice(tensor.as_slice());
+    let ctx = TensorContext { global, params };
+    let views = scheme.partition(tensor.shape()).unwrap();
+    let mut decisions = Vec::with_capacity(views.len());
+    let mut effective = tensor.clone();
+    for view in &views {
+        let sub = tensor.subtensor(view).unwrap();
+        let stats = SummaryStats::from_slice(&sub);
+        let decision = policy.decide(&ctx, &stats);
+        let sub_codes: Vec<i32> = view.indices().map(|i| codes[i]).collect();
+        let restored = match decision {
+            Decision::Keep => dequantize_slice(&sub_codes, &params),
+            Decision::Convert(choice) => {
+                let low = choice.apply_slice(&sub_codes);
+                choice.dequantize_slice(&low, &params)
+            }
+        };
+        effective.set_subtensor(view, &restored).unwrap();
+        decisions.push(SubTensorDecision {
+            view_id: view.id(),
+            len: view.len(),
+            decision,
+        });
+    }
+    (params, decisions, effective)
+}
+
+/// A `[rows, cols]` tensor of per-row-scaled uniform noise (scales
+/// spanning four decades, some rows exactly zero), or all zeros.
+fn selection_tensor(rows: usize, cols: usize, all_zero: bool, seed: u64) -> Tensor {
+    let mut rng = seeded(seed);
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let scale = if all_zero || rng.gen_bool(0.15) {
+            0.0
+        } else {
+            10f32.powf(rng.gen_range(-3.0f32..1.0))
+        };
+        data.extend((0..cols).map(|_| scale * rng.gen_range(-1.0f32..1.0)));
+    }
+    Tensor::from_vec(vec![rows, cols], data).unwrap()
+}
+
+/// A test policy whose decision hangs on the last bits of every
+/// accumulated statistic, global and per sub-tensor, so an accumulator
+/// fed its values in a different order (or through a merge) flips
+/// decisions.
+struct LowBitsPolicy;
+
+impl PrecisionPolicy for LowBitsPolicy {
+    fn name(&self) -> &str {
+        "low-bits"
+    }
+
+    fn decide(&self, ctx: &TensorContext, stats: &SummaryStats) -> Decision {
+        let parity = [ctx.global, *stats]
+            .iter()
+            .flat_map(|s| [s.mean(), s.variance(), s.mean_abs(), s.abs_max()])
+            .fold(0u64, |acc, v| acc ^ v.to_bits());
+        if parity.count_ones() % 2 == 1 {
+            StaticLowPolicy::new(Precision::INT4).decide(ctx, stats)
+        } else {
+            Decision::Keep
+        }
+    }
+}
+
+/// Checks `decide_policy` and `run_policy` against [`reference_run`]
+/// on `t` for Drift, DRQ, gating, both static policies and
+/// [`LowBitsPolicy`], under token,
+/// region (`tile_rows` × `tile_cols`, ragged when they do not divide),
+/// per-tensor and per-value partitions: the parameters and decisions
+/// agree exactly and the effective tensors bit for bit.
+fn check_against_reference(
+    t: &Tensor,
+    delta: f64,
+    tile_rows: usize,
+    tile_cols: usize,
+) -> Result<(), TestCaseError> {
+    let cols = *t.shape().dims().last().unwrap();
+    let policies: Vec<Box<dyn PrecisionPolicy>> = vec![
+        Box::new(DriftPolicy::new(delta).unwrap()),
+        Box::new(DrqPolicy::new(delta).unwrap()),
+        Box::new(PrecisionGatingPolicy::new(delta / 2.0, Precision::INT4).unwrap()),
+        Box::new(StaticHighPolicy),
+        Box::new(StaticLowPolicy::new(Precision::INT4)),
+        Box::new(LowBitsPolicy),
+    ];
+    let schemes = [
+        SubTensorScheme::token(cols),
+        SubTensorScheme::region(tile_rows, tile_cols),
+        SubTensorScheme::PerTensor,
+        SubTensorScheme::PerValue,
+    ];
+    let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for scheme in &schemes {
+        for policy in &policies {
+            let policy = policy.as_ref();
+            let decided = decide_policy(t, scheme, Precision::INT8, policy).unwrap();
+            let run = run_policy(t, scheme, Precision::INT8, policy).unwrap();
+            let (params, decisions, effective) = reference_run(t, scheme, Precision::INT8, policy);
+            let at = format!("{} under {scheme:?}", policy.name());
+            prop_assert_eq!(decided.params, run.params, "{}", at);
+            prop_assert_eq!(&decided.decisions, &run.decisions, "{}", at);
+            prop_assert_eq!(run.params, params, "{}", at);
+            prop_assert_eq!(&run.decisions, &decisions, "{}", at);
+            prop_assert_eq!(bits(&run.effective), bits(&effective), "{}", at);
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn single_element_selection_matches_the_gather_reference() {
+    for value in [0.0f32, 0.37, -5.0] {
+        let t = Tensor::from_vec(vec![1, 1], vec![value]).unwrap();
+        for delta in [0.0, 0.3, 1.9] {
+            check_against_reference(&t, delta, 1, 1).unwrap();
+        }
+    }
+}
+
 proptest! {
+    /// The streaming selection pass equals the gather-based reference
+    /// on random tensors, all-zero ones included (see
+    /// [`check_against_reference`]).
+    #[test]
+    fn streaming_selection_matches_the_gather_reference(
+        rows in 1usize..9,
+        cols in 1usize..14,
+        tile_rows in 1usize..4,
+        tile_cols in 1usize..6,
+        zero in 0u32..8,
+        delta in 0.0f64..2.0,
+        seed in any::<u64>(),
+    ) {
+        let t = selection_tensor(rows, cols, zero == 0, seed);
+        check_against_reference(&t, delta, tile_rows, tile_cols)?;
+    }
+
     /// INT8 quantize→dequantize never increases the absolute maximum
     /// and keeps cosine similarity high for non-trivial signals.
     #[test]

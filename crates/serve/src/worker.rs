@@ -22,7 +22,7 @@ use drift_core::schedule::{Schedule, ScheduleKey};
 use drift_core::selector::{record_policy_run, DriftPolicy};
 use drift_nn::datagen::TokenProfile;
 use drift_obs::{span, Recorder, SpanRecord, TraceId, Tracer};
-use drift_quant::policy::run_policy;
+use drift_quant::policy::decide_policy;
 use drift_quant::Precision;
 use drift_tensor::rng::{derive_seed, seeded};
 use drift_tensor::subtensor::SubTensorScheme;
@@ -155,7 +155,8 @@ pub fn execute_group(
 
 /// Runs one job against its resolved schedule (`None` for keyless
 /// jobs), recording the serve-tier `execute` span under `ctx` =
-/// (trace id, parent span id) when set.
+/// (trace id, parent span id) when set — for a Select job with its
+/// `generate` and `decide` children.
 fn run_item(
     spec: &JobSpec,
     accel: &mut DriftAccelerator,
@@ -172,7 +173,7 @@ fn run_item(
             delta,
             profile,
         } => {
-            let exec_start = ctx.map(|_| Instant::now());
+            let start = Instant::now();
             let profile = match profile.as_str() {
                 "cnn" => TokenProfile::cnn(),
                 "vit" => TokenProfile::vit(),
@@ -183,22 +184,41 @@ fn run_item(
             let data = profile
                 .generate(*tokens, *hidden, spec.seed)
                 .map_err(|e| e.to_string())?;
+            let generated = Instant::now();
             let policy = DriftPolicy::new(*delta).map_err(|e| e.to_string())?;
-            let run = run_policy(
+            let decided = decide_policy(
                 &data,
                 &SubTensorScheme::token(*hidden),
                 Precision::INT8,
                 &policy,
             )
             .map_err(|e| e.to_string())?;
-            record_policy_run(recorder, &run);
-            if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "select");
+            record_policy_run(recorder, &decided.decisions);
+            if let Some((trace, parent)) = ctx {
+                // `generate` and `decide` split the `execute` span, so
+                // the critical path shows which half of the selector
+                // the time went to.
+                let (execute, end) = (tracer.new_span_id(), Instant::now());
+                let children = [("generate", start, generated), ("decide", generated, end)];
+                for (stage, from, to) in children {
+                    let span = tracer.new_span_id();
+                    record_serve_span(tracer, (trace, execute), span, stage, from, to, &[]);
+                }
+                let kind = [("kind", "select")];
+                record_serve_span(
+                    tracer,
+                    (trace, parent),
+                    execute,
+                    "execute",
+                    start,
+                    end,
+                    &kind,
+                );
             }
             Ok(JobOutcome::Select {
-                low_subtensors: run.low_subtensors(),
-                subtensors: run.decisions.len(),
-                low_fraction: run.low_fraction(),
+                low_subtensors: decided.low_subtensors(),
+                subtensors: decided.decisions.len(),
+                low_fraction: decided.low_fraction(),
             })
         }
         JobKind::Schedule { m, k, n, .. } => {
@@ -224,7 +244,9 @@ fn run_item(
                 .execute_with_schedule(&workload, *schedule)
                 .map_err(|e| e.to_string())?;
             if let (Some(ctx), Some(start)) = (ctx, exec_start) {
-                record_execute_span(tracer, ctx, start, "simulate");
+                let (span, end) = (tracer.new_span_id(), Instant::now());
+                let kind = [("kind", "simulate")];
+                record_serve_span(tracer, ctx, span, "execute", start, end, &kind);
             }
             Ok(JobOutcome::Simulate {
                 cycles: report.cycles,
@@ -236,18 +258,27 @@ fn run_item(
     }
 }
 
-/// Records a serve-tier `execute` span covering `start`..now.
-fn record_execute_span(tracer: &Tracer, ctx: (TraceId, u64), start: Instant, kind: &str) {
+/// Records the serve-tier span `span` (stage `stage`) covering
+/// `start`..`end` under `parent` = (trace id, parent span id).
+fn record_serve_span(
+    tracer: &Tracer,
+    parent: (TraceId, u64),
+    span: u64,
+    stage: &str,
+    start: Instant,
+    end: Instant,
+    attrs: &[(&str, &str)],
+) {
     tracer.record(&SpanRecord {
         service: Some("serve"),
-        trace: ctx.0,
-        span: tracer.new_span_id(),
-        parent: Some(ctx.1),
-        stage: "execute",
+        trace: parent.0,
+        span,
+        parent: Some(parent.1),
+        stage,
         start,
-        end: Instant::now(),
+        end,
         job: None,
-        attrs: &[("kind", kind)],
+        attrs,
     });
 }
 

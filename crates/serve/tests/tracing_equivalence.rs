@@ -4,7 +4,7 @@
 //! `(seed, arrival sequence)` so reruns sample the same trace ids.
 
 use drift_obs::{Recorder, Tracer};
-use drift_serve::job::result_line;
+use drift_serve::job::{result_line, JobKind, JobSpec};
 use drift_serve::{serve, serve_on_cache, synthetic_jobs, ServeConfig};
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -109,4 +109,59 @@ fn same_trace_sample_seed_samples_the_same_trace_ids() {
         .map(|seq| Tracer::trace_id_for(99, seq).to_string())
         .collect();
     assert_eq!(first, expected);
+}
+
+#[test]
+fn traced_select_jobs_show_generate_and_decide_under_execute() {
+    let jobs: Vec<JobSpec> = ["cnn", "vit", "bert", "llm"]
+        .iter()
+        .enumerate()
+        .map(|(i, profile)| JobSpec {
+            id: i as u64,
+            seed: 5 + i as u64,
+            kind: JobKind::Select {
+                tokens: 32,
+                hidden: 64,
+                delta: 0.03,
+                profile: profile.to_string(),
+            },
+        })
+        .collect();
+    let config = ServeConfig::with_workers(2);
+
+    let plain = serve(jobs.clone(), &config);
+    let sink = SharedBuf::default();
+    let tracer = Tracer::to_writer(Box::new(sink.clone()), "serve", 1, 3, Recorder::disabled());
+    let cache = config.new_cache(Recorder::disabled());
+    let traced = serve_on_cache(jobs, &config, Recorder::disabled(), tracer.clone(), &cache);
+    tracer.flush();
+
+    let plain_lines: Vec<String> = plain.results.iter().map(result_line).collect();
+    let traced_lines: Vec<String> = traced.results.iter().map(result_line).collect();
+    assert_eq!(plain_lines, traced_lines, "tracing changed the results");
+
+    // Every job is sampled: each trace holds one `execute` span of kind
+    // `select`, and exactly one `generate` and one `decide` span whose
+    // parent is that `execute` span.
+    let text = sink.text();
+    let stage_of = |line: &str| field(line, "stage").unwrap_or_default();
+    let executes: Vec<&str> = text.lines().filter(|l| stage_of(l) == "execute").collect();
+    assert_eq!(executes.len(), 4, "{text}");
+    for execute in executes {
+        assert_eq!(
+            field(execute, "kind").as_deref(),
+            Some("select"),
+            "{execute}"
+        );
+        let (trace, span) = (field(execute, "trace"), field(execute, "span"));
+        for child in ["generate", "decide"] {
+            let under: Vec<&str> = text
+                .lines()
+                .filter(|l| stage_of(l) == child)
+                .filter(|l| field(l, "trace") == trace && field(l, "parent") == span)
+                .collect();
+            assert_eq!(under.len(), 1, "{child} under {execute}:\n{text}");
+            assert_eq!(field(under[0], "svc").as_deref(), Some("serve"));
+        }
+    }
 }

@@ -97,6 +97,8 @@ impl Laplace {
 }
 
 impl Sampler for Laplace {
+    // Inlined into the generators' per-element loops in other crates.
+    #[inline]
     fn sample(&self, rng: &mut DriftRng) -> f64 {
         // Inverse-CDF sampling: u ∈ (-1/2, 1/2),
         // x = μ - b · sign(u) · ln(1 - 2|u|).

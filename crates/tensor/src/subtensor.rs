@@ -138,72 +138,72 @@ impl SubTensorScheme {
     /// For [`SubTensorScheme::Region`], tensors of rank > 2 are viewed as
     /// `[volume / last_dim, last_dim]`; partial edge tiles are emitted
     /// when the tile size does not divide the extent, so the partition is
-    /// always exhaustive.
+    /// always exhaustive. Each view's ranges are the ones
+    /// [`SubTensorScheme::for_each_range`] streams for its id, in the
+    /// same (ascending) order.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::PartitionMismatch`] when a token length does
     /// not divide the tensor volume or a tile extent is zero.
-    // A view's range list legitimately holds a single `Range` for the
-    // contiguous schemes; the vec is a list of ranges, not a fill expr.
-    #[allow(clippy::single_range_in_vec_init)]
     pub fn partition(&self, shape: &Shape) -> Result<Vec<SubTensorView>> {
+        let mut ranges = vec![Vec::new(); self.count(shape)?];
+        self.for_each_range(shape, |id, range| ranges[id].push(range))?;
+        ranges
+            .into_iter()
+            .enumerate()
+            .map(|(id, r)| SubTensorView::new(id, r))
+            .collect()
+    }
+
+    /// Streams the partition without materialising it: calls
+    /// `visit(view_id, range)` for every flat element range of every
+    /// view, in ascending flat order. The ranges tile `0..volume`
+    /// exactly once, and one view's ranges arrive in the order
+    /// [`SubTensorScheme::partition`] lists them, so a consumer that
+    /// accumulates per view sees each view's elements in gather order
+    /// while reading the tensor front to back — the access pattern of
+    /// the accelerator's pooling unit.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SubTensorScheme::partition`].
+    pub fn for_each_range(
+        &self,
+        shape: &Shape,
+        mut visit: impl FnMut(usize, Range<usize>),
+    ) -> Result<()> {
         let volume = shape.volume();
+        let views = self.count(shape)?;
         match *self {
-            SubTensorScheme::PerTensor => Ok(vec![SubTensorView::new(0, vec![0..volume])?]),
-            SubTensorScheme::Token { len } => {
-                if len == 0 || !volume.is_multiple_of(len) {
-                    return Err(TensorError::PartitionMismatch {
-                        detail: format!(
-                            "token length {len} does not divide tensor volume {volume}"
-                        ),
-                    });
+            SubTensorScheme::PerTensor => visit(0, 0..volume),
+            SubTensorScheme::Token { .. } | SubTensorScheme::Channel => {
+                let per = volume / views;
+                for i in 0..views {
+                    visit(i, i * per..(i + 1) * per);
                 }
-                (0..volume / len)
-                    .map(|i| SubTensorView::new(i, vec![i * len..(i + 1) * len]))
-                    .collect()
             }
             SubTensorScheme::Region {
                 tile_rows,
                 tile_cols,
             } => {
-                if tile_rows == 0 || tile_cols == 0 {
-                    return Err(TensorError::PartitionMismatch {
-                        detail: "region tiles must be non-empty".to_string(),
-                    });
-                }
                 let cols = *shape.dims().last().expect("shapes are non-empty");
-                let rows = volume / cols;
-                let mut views = Vec::new();
-                let mut id = 0usize;
-                let mut r0 = 0usize;
-                while r0 < rows {
-                    let r1 = (r0 + tile_rows).min(rows);
-                    let mut c0 = 0usize;
-                    while c0 < cols {
+                let tiles_per_row = cols.div_ceil(tile_cols);
+                for r in 0..volume / cols {
+                    let first = (r / tile_rows) * tiles_per_row;
+                    for (t, c0) in (0..cols).step_by(tile_cols).enumerate() {
                         let c1 = (c0 + tile_cols).min(cols);
-                        let ranges = (r0..r1)
-                            .map(|r| r * cols + c0..r * cols + c1)
-                            .collect::<Vec<_>>();
-                        views.push(SubTensorView::new(id, ranges)?);
-                        id += 1;
-                        c0 = c1;
+                        visit(first + t, r * cols + c0..r * cols + c1);
                     }
-                    r0 = r1;
                 }
-                Ok(views)
             }
-            SubTensorScheme::Channel => {
-                let leading = shape.dim(0)?;
-                let per = volume / leading;
-                (0..leading)
-                    .map(|i| SubTensorView::new(i, vec![i * per..(i + 1) * per]))
-                    .collect()
+            SubTensorScheme::PerValue => {
+                for i in 0..volume {
+                    visit(i, i..i + 1);
+                }
             }
-            SubTensorScheme::PerValue => (0..volume)
-                .map(|i| SubTensorView::new(i, vec![i..i + 1]))
-                .collect(),
         }
+        Ok(())
     }
 
     /// The number of sub-tensors this scheme yields for `shape`, without
@@ -304,6 +304,48 @@ mod tests {
             views.len(),
             SubTensorScheme::region(2, 3).count(&s).unwrap()
         );
+    }
+
+    #[test]
+    fn region_edge_tiles_are_pinned() {
+        // [5, 7] in 2x3 tiles: 3 tile rows x 3 tile columns, ragged on
+        // both edges; ids run along a tile row first.
+        let s = Shape::new(vec![5, 7]).unwrap();
+        let views = SubTensorScheme::region(2, 3).partition(&s).unwrap();
+        let ranges: Vec<&[Range<usize>]> = views.iter().map(SubTensorView::ranges).collect();
+        assert_eq!(ranges[0], &[0..3, 7..10]);
+        assert_eq!(ranges[2], &[6..7, 13..14]);
+        assert_eq!(ranges[3], &[14..17, 21..24]);
+        assert_eq!(ranges[8], &[34..35]);
+    }
+
+    #[test]
+    fn streamed_ranges_tile_the_tensor_in_flat_order() {
+        let s = Shape::new(vec![5, 7]).unwrap();
+        for scheme in [
+            SubTensorScheme::PerTensor,
+            SubTensorScheme::token(7),
+            SubTensorScheme::region(2, 3),
+            SubTensorScheme::Channel,
+            SubTensorScheme::PerValue,
+        ] {
+            let mut next = 0;
+            let mut per_view = vec![0usize; scheme.count(&s).unwrap()];
+            scheme
+                .for_each_range(&s, |id, range| {
+                    assert_eq!(range.start, next, "{scheme:?}");
+                    next = range.end;
+                    per_view[id] += range.len();
+                })
+                .unwrap();
+            assert_eq!(next, 35, "{scheme:?}");
+            let views = scheme.partition(&s).unwrap();
+            let lens: Vec<usize> = views.iter().map(SubTensorView::len).collect();
+            assert_eq!(per_view, lens, "{scheme:?}");
+        }
+        assert!(SubTensorScheme::token(6)
+            .for_each_range(&s, |_, _| {})
+            .is_err());
     }
 
     #[test]
