@@ -18,13 +18,13 @@
 use crate::arch::controller::PrecisionController;
 use crate::arch::dispatch::DispatchPlan;
 use crate::arch::paper_fabric;
-use crate::schedule::{balanced_schedule, equal_schedule, Schedule};
+use crate::schedule::{balanced_schedule, equal_schedule, record_solve, Schedule};
 use drift_accel::accelerator::{finish_report, Accelerator, ExecReport, MemorySubsystem};
 use drift_accel::energy::EnergyModel;
 use drift_accel::gemm::GemmWorkload;
 use drift_accel::systolic::{pass_count, simulate_stream, ArrayGeometry, BG_WEIGHT_BIT_LANES};
 use drift_accel::{AccelError, Result};
-use drift_obs::{span, Recorder};
+use drift_obs::Recorder;
 use drift_quant::convert::ConversionChoice;
 use drift_quant::policy::Decision;
 use drift_quant::precision::Precision;
@@ -346,26 +346,16 @@ impl Accelerator for DriftAccelerator {
         // Eq. 8 for the quadrant mix.
         let plan = self.dispatch(workload)?;
         let solve_start = self.recorder.is_enabled().then(std::time::Instant::now);
-        let schedule = {
-            let _solve = span!(self.recorder, "schedule_solve");
-            match self.scheduler {
-                SchedulerKind::Balanced => balanced_schedule(self.fabric, &workload.quadrants()),
-                SchedulerKind::EqualStatic => equal_schedule(self.fabric, &workload.quadrants()),
-            }
-            .map_err(|e| AccelError::InvalidConfig {
-                name: "schedule",
-                detail: e.to_string(),
-            })?
-        };
+        let schedule = match self.scheduler {
+            SchedulerKind::Balanced => balanced_schedule(self.fabric, &workload.quadrants()),
+            SchedulerKind::EqualStatic => equal_schedule(self.fabric, &workload.quadrants()),
+        }
+        .map_err(|e| AccelError::InvalidConfig {
+            name: "schedule",
+            detail: e.to_string(),
+        })?;
         if let Some(start) = solve_start {
-            self.recorder
-                .counter_add("drift_schedule_solves_total", &[], 1);
-            self.recorder.observe(
-                "drift_schedule_solve_nanoseconds",
-                &[],
-                drift_obs::contract::SOLVE_NS_BUCKETS,
-                start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            );
+            record_solve(&self.recorder, start.elapsed());
         }
         self.simulate(workload, &plan, schedule)
     }
@@ -537,11 +527,8 @@ mod tests {
         assert!(snap.counter_sum("drift_array_busy_cycles_total") > 0);
         assert!(snap.counter_sum("drift_array_idle_cycles_total") > 0);
         assert!(snap.counter_sum("drift_dram_row_hits_total") > 0);
-        assert!(rec
-            .registry()
-            .unwrap()
-            .stages()
-            .contains_key("schedule_solve"));
+        let solves = snap.histogram("drift_schedule_solve_nanoseconds").unwrap();
+        assert_eq!(solves.count(), 2);
     }
 
     #[test]

@@ -19,8 +19,10 @@ use crate::arch::FabricPartition;
 use crate::{CoreError, Result};
 use drift_accel::gemm::{GemmShape, GemmWorkload, PrecisionQuadrant};
 use drift_accel::systolic::{analytical_cycles, ArrayGeometry};
+use drift_obs::Recorder;
 use drift_quant::precision::{Precision, PrecisionPair};
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// A scheduling decision for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,6 +124,22 @@ impl ScheduleKey {
     pub fn solve(&self) -> Result<Schedule> {
         balanced_schedule(self.fabric, &self.quadrants())
     }
+}
+
+/// Meters one Eq. 8 solve that took `elapsed`: a
+/// `drift_schedule_solves_total` count and a
+/// `drift_schedule_solve_nanoseconds` observation. Every solve site —
+/// the accelerator's own and the serving tier's schedule cache — meters
+/// through here. A no-op on a disabled recorder; callers skip the clock
+/// reads then too.
+pub fn record_solve(recorder: &Recorder, elapsed: Duration) {
+    recorder.counter_add("drift_schedule_solves_total", &[], 1);
+    recorder.observe(
+        "drift_schedule_solve_nanoseconds",
+        &[],
+        drift_obs::contract::SOLVE_NS_BUCKETS,
+        elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+    );
 }
 
 /// Size in bytes of one encoded `(ScheduleKey, Schedule)` entry (see

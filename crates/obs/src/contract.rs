@@ -402,27 +402,6 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Worker threads in the serving pool",
     },
     MetricSpec {
-        name: "drift_stage_calls_total",
-        kind: MetricKind::Counter,
-        unit: "spans",
-        labels: &["stage"],
-        help: "Completed spans per hierarchical stage path",
-    },
-    MetricSpec {
-        name: "drift_stage_sim_cycles_total",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        labels: &["stage"],
-        help: "Simulated cycles attributed to each stage path",
-    },
-    MetricSpec {
-        name: "drift_stage_wall_nanoseconds_total",
-        kind: MetricKind::Counter,
-        unit: "nanoseconds",
-        labels: &["stage"],
-        help: "Wall time spent inside each stage path",
-    },
-    MetricSpec {
         name: "drift_store_bytes_written_total",
         kind: MetricKind::Counter,
         unit: "bytes",

@@ -68,19 +68,6 @@ impl HistogramSample {
     }
 }
 
-/// One hierarchical stage-timing row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSample {
-    /// Slash-separated span path (e.g. `serve_job/schedule_solve`).
-    pub stage: String,
-    /// Completed spans.
-    pub calls: u64,
-    /// Total wall nanoseconds.
-    pub wall_ns: u64,
-    /// Total simulated cycles attributed to the stage.
-    pub sim_cycles: u64,
-}
-
 /// A point-in-time copy of every metric in a registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -92,8 +79,6 @@ pub struct Snapshot {
     pub gauges: Vec<Sample<i64>>,
     /// Histograms.
     pub histograms: Vec<HistogramSample>,
-    /// Stage timings, sorted by path.
-    pub stages: Vec<StageSample>,
 }
 
 impl Snapshot {
@@ -123,16 +108,6 @@ impl Snapshot {
                     bounds,
                     counts,
                     sum,
-                })
-                .collect(),
-            stages: registry
-                .stages()
-                .into_iter()
-                .map(|(stage, t)| StageSample {
-                    stage,
-                    calls: t.calls,
-                    wall_ns: t.wall_ns,
-                    sim_cycles: t.sim_cycles,
                 })
                 .collect(),
         }
@@ -256,30 +231,6 @@ impl Snapshot {
                 h.count()
             ));
         }
-        // Stage timings surface as three derived counter families.
-        if !self.stages.is_empty() {
-            for (name, get) in [
-                (
-                    "drift_stage_calls_total",
-                    (|s: &StageSample| s.calls) as fn(&StageSample) -> u64,
-                ),
-                ("drift_stage_sim_cycles_total", |s: &StageSample| {
-                    s.sim_cycles
-                }),
-                ("drift_stage_wall_nanoseconds_total", |s: &StageSample| {
-                    s.wall_ns
-                }),
-            ] {
-                header(&mut out, name, MetricKind::Counter);
-                for s in &self.stages {
-                    out.push_str(&format!(
-                        "{name}{{stage=\"{}\"}} {}\n",
-                        escape_label(&s.stage),
-                        get(s)
-                    ));
-                }
-            }
-        }
         out
     }
 
@@ -307,25 +258,12 @@ impl Snapshot {
                 h.sum
             ));
         }
-        out.push_str("],\n  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": {}, \"calls\": {}, \"wall_ns\": {}, \"sim_cycles\": {}}}",
-                json_str(&s.stage),
-                s.calls,
-                s.wall_ns,
-                s.sim_cycles
-            ));
-        }
         out.push_str("]\n}\n");
         out
     }
 
     /// Renders the human `drift report` table: counters and gauges with
-    /// their contract units, histogram quantiles, and the stage tree.
+    /// their contract units and histogram quantiles.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         let unit = |name: &str| spec_for(name).map_or("", |s| s.unit);
@@ -370,21 +308,6 @@ impl Snapshot {
                     h.mean(),
                     display_quantile(h, 0.50),
                     display_quantile(h, 0.99),
-                ));
-            }
-        }
-        if !self.stages.is_empty() {
-            out.push_str(&format!(
-                "\n{:<40} {:>9} {:>12} {:>16}\n",
-                "stage", "calls", "wall(ms)", "sim-cycles"
-            ));
-            for s in &self.stages {
-                out.push_str(&format!(
-                    "{:<40} {:>9} {:>12.2} {:>16}\n",
-                    s.stage,
-                    s.calls,
-                    s.wall_ns as f64 / 1e6,
-                    s.sim_cycles
                 ));
             }
         }
@@ -533,12 +456,6 @@ mod tests {
                 counts: vec![1, 2, 0, 1],
                 sum: 460,
             }],
-            stages: vec![StageSample {
-                stage: "serve_job/schedule_solve".to_string(),
-                calls: 4,
-                wall_ns: 8_000_000,
-                sim_cycles: 100,
-            }],
         }
     }
 
@@ -555,7 +472,6 @@ mod tests {
         assert!(text.contains("_bucket{worker=\"0\",le=\"+Inf\"} 4"));
         assert!(text.contains("drift_serve_job_latency_microseconds_sum{worker=\"0\"} 460"));
         assert!(text.contains("drift_serve_job_latency_microseconds_count{worker=\"0\"} 4"));
-        assert!(text.contains("drift_stage_calls_total{stage=\"serve_job/schedule_solve\"} 4"));
     }
 
     #[test]

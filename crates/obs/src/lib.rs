@@ -8,9 +8,8 @@
 //! * [`registry`] — [`MetricsRegistry`]: atomic counters, float
 //!   counters, gauges, and fixed-bucket histograms, keyed by
 //!   `(name, labels)`;
-//! * [`mod@span`] — [`Recorder`] and the [`span!`] guard macro: wall-time
-//!   and simulated-cycle durations folded into hierarchical stage
-//!   timings (`serve_job/schedule_solve`);
+//! * [`recorder`] — [`Recorder`], the on/off handle every instrumented
+//!   crate records through;
 //! * [`contract`] — the declared list of every exported metric (name,
 //!   kind, unit, labels, help), kept in sync with
 //!   `docs/OBSERVABILITY.md` by test;
@@ -26,17 +25,24 @@
 //! # Example
 //!
 //! ```rust
-//! use drift_obs::{span, Recorder};
+//! use drift_obs::{contract, Recorder};
 //!
 //! let rec = Recorder::enabled();
 //! rec.counter_add("drift_serve_jobs_total", &[("kind", "simulate"), ("outcome", "ok")], 1);
-//! {
-//!     let solve = span!(rec, "schedule_solve");
-//!     solve.add_cycles(512);
+//! // Time an interval only when something will record it.
+//! if rec.is_enabled() {
+//!     let start = std::time::Instant::now();
+//!     let elapsed_us = start.elapsed().as_micros() as u64;
+//!     rec.observe(
+//!         "drift_serve_job_latency_microseconds",
+//!         &[("worker", "0")],
+//!         contract::LATENCY_US_BUCKETS,
+//!         elapsed_us,
+//!     );
 //! }
 //! let snapshot = rec.registry().unwrap().snapshot();
 //! assert!(snapshot.to_prometheus().contains("drift_serve_jobs_total"));
-//! assert_eq!(snapshot.stages[0].sim_cycles, 512);
+//! assert_eq!(snapshot.histogram("drift_serve_job_latency_microseconds").unwrap().count(), 1);
 //!
 //! // The disabled recorder accepts the same calls and does nothing:
 //! let off = Recorder::disabled();
@@ -51,11 +57,11 @@
 pub mod contract;
 pub mod export;
 pub mod http;
+pub mod recorder;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use export::Snapshot;
-pub use registry::{Histogram, MetricsRegistry, StageTiming};
-pub use span::{Recorder, SpanGuard};
+pub use recorder::Recorder;
+pub use registry::{Histogram, MetricsRegistry};
 pub use trace::{SpanRecord, TraceContext, TraceDecision, TraceId, Tracer};

@@ -30,7 +30,7 @@
 
 use crate::contract::LATENCY_US_BUCKETS;
 use crate::export::json_str;
-use crate::span::Recorder;
+use crate::recorder::Recorder;
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
