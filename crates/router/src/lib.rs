@@ -66,5 +66,5 @@
 pub mod ring;
 pub mod server;
 
-pub use ring::{route_key, HashRing};
+pub use ring::{route_key, HashRing, MAX_VNODES};
 pub use server::{Router, RouterConfig, RouterSummary};

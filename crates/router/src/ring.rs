@@ -117,6 +117,12 @@ pub fn route_key(spec: &JobSpec, fabric: ArrayGeometry) -> u64 {
     mix64(h.finish())
 }
 
+/// The most virtual nodes per shard a ring takes. A ring holds
+/// `shards × vnodes` points, so without a bound one reshard line could
+/// ask for an allocation the process cannot make. The router refuses a
+/// larger `--vnodes` at startup and nacks a larger reshard.
+pub const MAX_VNODES: usize = 4096;
+
 /// A consistent-hash ring: each shard owns `vnodes` points on the
 /// 64-bit circle, and a key belongs to the shard owning the first point
 /// clockwise from the key's hash.
@@ -129,11 +135,11 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds the ring. `vnodes` is clamped to at least 1; shard order
+    /// Builds the ring. `vnodes` is clamped to `1..=`[`MAX_VNODES`]; shard order
     /// is preserved (indices into [`HashRing::shards`] are the router's
     /// stable shard handles between reshards).
     pub fn new(shards: &[String], vnodes: usize) -> HashRing {
-        let vnodes = vnodes.max(1);
+        let vnodes = vnodes.clamp(1, MAX_VNODES);
         let mut points = Vec::with_capacity(shards.len() * vnodes);
         for (index, addr) in shards.iter().enumerate() {
             for v in 0..vnodes {

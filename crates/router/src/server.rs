@@ -51,7 +51,7 @@
 //!   everything in flight, then tear down. The acceptor, readers and
 //!   writers are the gateway's own [`drift_gateway::conn`] loop.
 
-use crate::ring::{route_key, HashRing};
+use crate::ring::{route_key, HashRing, MAX_VNODES};
 use crossbeam::channel::Sender;
 use drift_accel::systolic::ArrayGeometry;
 use drift_core::arch::paper_fabric;
@@ -509,6 +509,12 @@ impl Router {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "router needs at least one shard address",
+            ));
+        }
+        if config.vnodes > MAX_VNODES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("vnodes must be at most {MAX_VNODES}"),
             ));
         }
         let config = RouterConfig {
@@ -1196,8 +1202,8 @@ fn admit(
 /// swap the ring (reusing live connections to retained shards), and
 /// report how many tracked keys changed owner. Returns the ack line.
 fn reshard(shared: &Arc<Shared>, value: &Value) -> String {
-    // Every nack reason below is a fixed ASCII literal, so plain
-    // quoting is valid JSON.
+    // Every nack reason below is ASCII without quotes or backslashes,
+    // so plain quoting is valid JSON.
     let nack =
         |reason: &str| format!("{{\"control\":\"reshard\",\"ok\":false,\"error\":\"{reason}\"}}");
     let Some(shards) = value.get("shards").and_then(Value::as_seq) else {
@@ -1218,15 +1224,18 @@ fn reshard(shared: &Arc<Shared>, value: &Value) -> String {
     if unique.is_empty() {
         return nack("reshard needs at least one shard");
     }
+    let vnodes = match value.get("vnodes") {
+        Some(Value::U64(v)) => usize::try_from(*v).unwrap_or(usize::MAX).max(1),
+        Some(Value::I64(v)) if *v > 0 => usize::try_from(*v).unwrap_or(usize::MAX),
+        _ => shared.config.vnodes,
+    };
+    if vnodes > MAX_VNODES {
+        return nack(&format!("vnodes must be at most {MAX_VNODES}"));
+    }
     let _gate = shared.reshard_gate.lock().expect("reshard gate");
     if shared.should_stop() {
         return nack("router is stopping");
     }
-    let vnodes = match value.get("vnodes") {
-        Some(Value::U64(v)) => (*v as usize).max(1),
-        Some(Value::I64(v)) if *v > 0 => *v as usize,
-        _ => shared.config.vnodes,
-    };
 
     // Quiesce: block new admissions, then wait for in-flight work to
     // drain through the shard readers.

@@ -86,3 +86,42 @@ fn deeply_nested_line_is_a_bad_request_not_a_crash() {
     assert_eq!(reply, "{\"control\":\"ping\",\"ok\":true}\n");
     router.shutdown();
 }
+
+#[test]
+fn reshard_above_the_vnode_cap_is_refused_and_the_router_stays_up() {
+    // 2^40 vnodes for one shard once asked the ring for a 16 TiB
+    // allocation, which aborted the process.
+    let router = start_router();
+    let addr = router.local_addr();
+    let line = format!(
+        r#"{{"control":"reshard","shards":["{}"],"vnodes":1099511627776}}"#,
+        dead_shard()
+    );
+    assert_eq!(
+        round_trip(addr, &line),
+        r#"{"control":"reshard","ok":false,"error":"vnodes must be at most 4096"}"#
+    );
+    assert_eq!(
+        round_trip(addr, r#"{"control":"ping"}"#),
+        r#"{"control":"ping","ok":true}"#
+    );
+    router.shutdown();
+}
+
+#[test]
+fn router_refuses_vnodes_above_the_cap_at_startup() {
+    let config = RouterConfig {
+        vnodes: drift_router::MAX_VNODES + 1,
+        ..RouterConfig::default()
+    };
+    let err = Router::start(
+        "127.0.0.1:0",
+        &[dead_shard()],
+        config,
+        Recorder::disabled(),
+        Tracer::disabled(),
+    )
+    .expect_err("vnodes above the cap must not start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("at most 4096"), "{err}");
+}
