@@ -53,19 +53,20 @@ fn batch_discarded_at_dequeue_counts_an_expired_queue_wait() {
     let recorder = Recorder::enabled();
     let gw = start(1, recorder.clone());
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
-    // A long simulation occupies the only worker. Nothing has completed
-    // yet, so the service-time estimator is still 0 and admission
-    // cannot refuse the batch below as unmeetable: it queues, and its
-    // 1 ms budget has passed by the time the worker dequeues it.
+    // A long Select job occupies the only worker: drawing and scanning
+    // its 2048 x 1024 activation tensor takes tens of milliseconds even
+    // in a release build, far past the batch's 1 ms budget. Nothing has
+    // completed yet, so the service-time estimator is still 0 and
+    // admission cannot refuse the batch below as unmeetable: it queues,
+    // and its budget has passed by the time the worker dequeues it.
     let long = JobSpec {
         id: 0,
         seed: 1,
-        kind: JobKind::Simulate {
-            m: 512,
-            k: 768,
-            n: 512,
-            fa: 0.5,
-            fw: 0.5,
+        kind: JobKind::Select {
+            tokens: 2048,
+            hidden: 1024,
+            delta: 0.03,
+            profile: "bert".to_string(),
         },
     };
     let batch: Vec<JobSpec> = (1..3)
@@ -101,7 +102,7 @@ fn batch_discarded_at_dequeue_counts_an_expired_queue_wait() {
         other => panic!("unexpected response {other:?}"),
     }
     assert_eq!(gw.shutdown().expired, 2);
-    assert_eq!(queue_waits(&recorder, "ok"), 1, "the simulation ran");
+    assert_eq!(queue_waits(&recorder, "ok"), 1, "the long job ran");
     assert_eq!(
         queue_waits(&recorder, "expired"),
         1,

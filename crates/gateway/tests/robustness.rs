@@ -41,6 +41,22 @@ fn heavy_spec(id: u64) -> JobSpec {
     }
 }
 
+/// A Select job whose 2048 x 1024 activation tensor takes tens of
+/// milliseconds to draw and scan even in a release build: work that
+/// outlasts a 1 ms budget many times over on either build profile.
+fn occupying_spec(id: u64) -> JobSpec {
+    JobSpec {
+        id,
+        seed: id + 1,
+        kind: JobKind::Select {
+            tokens: 2048,
+            hidden: 1024,
+            delta: 0.03,
+            profile: "bert".to_string(),
+        },
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_overloaded_and_answers_every_request() {
     const REQUESTS: u64 = 16;
@@ -98,16 +114,14 @@ fn stale_requests_expire_with_deadline_exceeded() {
     .unwrap();
     let mut client = Client::connect(&gw.local_addr().to_string()).unwrap();
 
-    // Three heavy jobs occupy the single worker; the budgeted request
-    // queues behind them, so its 1 ms deadline has long passed when a
+    // One long job occupies the single worker; the budgeted request
+    // queues behind it, so its 1 ms deadline has long passed when a
     // worker finally dequeues it.
-    for id in 0..3 {
-        client.send(&heavy_spec(id), None).unwrap();
-    }
+    client.send(&occupying_spec(0), None).unwrap();
     client.send(&quick_spec(99), Some(1)).unwrap();
 
     let mut expired = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..2 {
         match client.recv().unwrap() {
             Response::Result(_) => {}
             Response::Error { id, error } => {
