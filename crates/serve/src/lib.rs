@@ -21,8 +21,9 @@
 //! per-worker latency histograms, per-array cycle counters — and a
 //! [`drift_obs::Tracer`], without changing any result
 //! (`docs/OBSERVABILITY.md` documents the full metric contract).
-//! Every job, singleton or batch item, executes through the one keyed
-//! routine [`worker::execute_group`].
+//! Every job, singleton or batch item, runs through one per-job step:
+//! [`worker::execute_group`] runs it for each job of a schedule-key
+//! group, and the offline worker loop for each job it dequeues.
 //!
 //! Jobs and results travel as JSONL ([`job`]), one JSON object per
 //! line, so streams pipe through the `drift serve` CLI:
